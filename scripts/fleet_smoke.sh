@@ -8,6 +8,9 @@
 #   2. byte-identical shard records between the solo and fleet stores
 #      (sorted + deduplicated: re-run shards are byte-duplicates by the
 #      determinism contract),
+#   2b. the same CSV and shard-record identity for 2-worker fleets beyond
+#      the default knobs: with ONEBIT_PRUNE=1 (whose store must also carry
+#      the workers' outcome records) and with ONEBIT_DISPATCH=switch,
 #   3. store_stats reads the fleet store and reports it complete,
 #   4. `report --figure fig1` regenerates the solo CSV byte-identically
 #      from the fleet store's records, and `report --watch --once` renders
@@ -57,6 +60,21 @@ echo "== shard-record byte-identity (sorted, deduplicated)"
 grep '"kind":"shard"' "$tmp/solo.jsonl" | sort -u > "$tmp/shards_solo.jsonl"
 grep '"kind":"shard"' "$tmp/fleet.jsonl" | sort -u > "$tmp/shards_fleet.jsonl"
 diff "$tmp/shards_solo.jsonl" "$tmp/shards_fleet.jsonl"
+
+for knob in ONEBIT_PRUNE=1 ONEBIT_DISPATCH=switch; do
+  echo "== fleet run: 2 workers, $knob"
+  env "$knob" ONEBIT_STORE="$tmp/knob.jsonl" ONEBIT_FLEET_WORKERS=2 \
+    "$build/bench_fig1_single_bit" > "$tmp/fig1_knob.csv"
+  diff "$tmp/fig1_solo.csv" "$tmp/fig1_knob.csv"
+  grep '"kind":"shard"' "$tmp/knob.jsonl" | sort -u > "$tmp/shards_knob.jsonl"
+  diff "$tmp/shards_solo.jsonl" "$tmp/shards_knob.jsonl"
+  if [ "$knob" = ONEBIT_PRUNE=1 ] &&
+     ! grep -q '"kind":"outcome"' "$tmp/knob.jsonl"; then
+    echo "error: pruned fleet store carries no outcome records" >&2
+    exit 1
+  fi
+  rm -f "$tmp/knob.jsonl" "$tmp/knob.jsonl.lock"
+done
 
 echo "== store_stats on the fleet store"
 "$build/store_stats" "$tmp/fleet.jsonl"

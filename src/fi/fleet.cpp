@@ -7,6 +7,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <thread>
 #include <utility>
 
@@ -68,14 +69,30 @@ std::uint64_t clockOf(const FleetConfig& config) {
   return config.clock ? config.clock() : util::wallClockMs();
 }
 
-std::shared_ptr<const Workload> defaultResolve(
-    const CampaignStore::CellRecord& cell) {
-  const progs::ProgramInfo* info = progs::findProgram(cell.workload);
-  if (info == nullptr) return nullptr;
-  const std::uint64_t hangFactor =
-      cell.hangFactor != 0 ? cell.hangFactor : Workload::kDefaultHangFactor;
-  return std::make_shared<const Workload>(progs::compileProgram(*info),
-                                          hangFactor);
+/// Resolve cells through the progs registry, compiling and profiling each
+/// (program, hang factor) once per resolver copy — each FleetWorker holds
+/// its own copy — instead of once per cell. Threaded dispatch, the drivers'
+/// default, is bit-identical to the switch loop
+/// (tests/dispatch_differential_test).
+WorkloadResolver registryResolver() {
+  std::map<std::pair<std::string, std::uint64_t>,
+           std::shared_ptr<const Workload>>
+      built;
+  return [built](const CampaignStore::CellRecord& cell) mutable
+         -> std::shared_ptr<const Workload> {
+    const progs::ProgramInfo* info = progs::findProgram(cell.workload);
+    if (info == nullptr) return nullptr;
+    const std::uint64_t hangFactor =
+        cell.hangFactor != 0 ? cell.hangFactor : Workload::kDefaultHangFactor;
+    std::shared_ptr<const Workload>& workload =
+        built[{cell.workload, hangFactor}];
+    if (workload == nullptr) {
+      workload = std::make_shared<const Workload>(
+          progs::compileProgram(*info), hangFactor, SnapshotPolicy{},
+          PrunePolicy{}, vm::DispatchBackend::Threaded);
+    }
+    return workload;
+  };
 }
 
 }  // namespace
@@ -230,7 +247,7 @@ std::optional<CampaignResult> FleetBroker::result(
 
 // ---------------------------------------------------------------- FleetWorker
 
-/// A cell this worker has resolved and key-validated: the rebuilt workload,
+/// A cell this worker has resolved and key-validated: its workload,
 /// the re-parsed model, and the store metadata every shard record stamps.
 struct FleetWorker::CellExec {
   std::shared_ptr<const Workload> workload;
@@ -255,6 +272,7 @@ FleetWorker::FleetWorker(const std::string& storePath, std::string workerId,
                       0xffff));
     id_ = buf;
   }
+  if (!config_.workloadResolver) config_.workloadResolver = registryResolver();
   // Per-worker jitter stream: scheduling-only, so seeding from the id and
   // the wall clock costs no determinism.
   jitterState_ = util::hashCombine(util::hashBytes(id_),
@@ -289,11 +307,10 @@ FleetWorker::CellExec* FleetWorker::resolve(
   if (!model) return fail("unparseable fault spec");
   model->flipWidth = cell.flipWidth;
   const std::shared_ptr<const Workload> workload =
-      config_.workloadResolver ? config_.workloadResolver(cell)
-                               : defaultResolve(cell);
+      config_.workloadResolver(cell);
   if (workload == nullptr) return fail("workload did not resolve");
   // The submitting broker's campaign key must be reproduced bit for bit —
-  // a mismatch means our rebuilt workload behaves differently (source
+  // a mismatch means the resolved workload behaves differently (source
   // drift, wrong hang factor, version skew) and any shard we ran would be
   // recorded under a key it does not belong to.
   const std::uint64_t key = CampaignStore::campaignKey(
@@ -348,40 +365,45 @@ FleetWorker::Step FleetWorker::step() {
     // section; individual appends inside re-enter the same lock.
     util::FileLock* fileLock = store_.fileLock();
     std::lock_guard<util::FileLock> guard(*fileLock);
-    if (!loaded_) {
-      store_.load();
-      loaded_ = true;
-    } else {
-      store_.refresh();
+    const CampaignStore::LoadStats read =
+        loaded_ ? store_.refresh() : store_.load();
+    loaded_ = true;
+    if (read.cellRecords != 0) {
+      cells_ = store_.cells();
+      recorded_.assign(cells_.size(), false);
     }
     const std::uint64_t nowMs = now();
 
     // Cost-ordered scan: cells by descending estimated remaining work
     // (golden instructions × pending experiments — the suite's LPT
     // heuristic), shards ascending within a cell. Ties keep submission
-    // order. Claim order never affects results, only makespan.
-    const std::vector<CampaignStore::CellRecord> cells = store_.cells();
-    std::vector<std::size_t> pendingExperiments(cells.size(), 0);
-    std::vector<std::size_t> order(cells.size());
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      order[c] = c;
-      for (std::size_t s = 0; s < cells[c].shardCount(); ++s) {
-        if (store_.findShard(cells[c].key, cells[c].shardFirst(s),
-                             cells[c].shardExperiments(s)) == nullptr) {
-          pendingExperiments[c] += cells[c].shardExperiments(s);
+    // order. Claim order never affects results, only makespan. Fully
+    // recorded cells never claim, so they stay out of the sort.
+    std::vector<std::size_t> pendingExperiments(cells_.size(), 0);
+    std::vector<std::size_t> order;
+    for (std::size_t c = 0; c < cells_.size(); ++c) {
+      if (recorded_[c]) continue;
+      for (std::size_t s = 0; s < cells_[c].shardCount(); ++s) {
+        if (store_.findShard(cells_[c].key, cells_[c].shardFirst(s),
+                             cells_[c].shardExperiments(s)) == nullptr) {
+          pendingExperiments[c] += cells_[c].shardExperiments(s);
         }
       }
-      if (pendingExperiments[c] != 0) allRecorded = false;
+      if (pendingExperiments[c] == 0) {
+        recorded_[c] = true;
+      } else {
+        order.push_back(c);
+        allRecorded = false;
+      }
     }
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
-                       return cells[a].dynInstrs * pendingExperiments[a] >
-                              cells[b].dynInstrs * pendingExperiments[b];
+                       return cells_[a].dynInstrs * pendingExperiments[a] >
+                              cells_[b].dynInstrs * pendingExperiments[b];
                      });
     for (const std::size_t c : order) {
       if (claim) break;
-      const CampaignStore::CellRecord& cell = cells[c];
-      if (pendingExperiments[c] == 0) continue;
+      const CampaignStore::CellRecord& cell = cells_[c];
       for (std::size_t s = 0; s < cell.shardCount(); ++s) {
         const std::size_t first = cell.shardFirst(s);
         const std::size_t count = cell.shardExperiments(s);
@@ -535,79 +557,42 @@ FleetWorker::Step FleetWorker::run(std::size_t maxShards) {
 
 // ------------------------------------------------------------------- runFleet
 
-std::vector<CampaignResult> runFleet(const CampaignSuite& suite,
-                                     SuiteConfig config,
-                                     const std::string& storePath,
-                                     const LocalFleetOptions& options) {
-#if !defined(_WIN32)
-  {
-    FleetBroker broker(storePath, options.config);
-    std::size_t submitted = 0;
-    for (std::size_t c = 0; c < suite.cellCount(); ++c) {
-      const SuiteCell& cell = suite.cell(c);
-      if (cell.workload == nullptr || cell.experiments == 0) continue;
-      const std::optional<CampaignStore::CellRecord> rec =
-          FleetBroker::makeCell(
-              cell.storeName, *cell.workload, cell.model, cell.experiments,
-              cell.seed, resolveShardSize(cell.experiments,
-                                          config.shardSize));
-      // A cell makeCell() refuses (unnamed, or a degenerate model whose
-      // label does not round-trip) is simply left for the in-process
-      // remainder pass below.
-      if (rec && broker.submit(*rec)) ++submitted;
+std::size_t submitSuite(const CampaignSuite& suite, const SuiteConfig& config,
+                        const std::string& storePath, FleetConfig& fleet) {
+  FleetBroker broker(storePath, fleet);
+  std::unordered_map<std::uint64_t, const Workload*> inherited;
+  for (std::size_t c = 0; c < suite.cellCount(); ++c) {
+    const SuiteCell& cell = suite.cell(c);
+    if (cell.workload == nullptr || cell.experiments == 0) continue;
+    const std::optional<CampaignStore::CellRecord> rec =
+        FleetBroker::makeCell(
+            cell.storeName, *cell.workload, cell.model, cell.experiments,
+            cell.seed, resolveShardSize(cell.experiments, config.shardSize));
+    // A cell makeCell() refuses (unnamed, or a degenerate model whose label
+    // does not round-trip) is simply left for the in-process final pass.
+    if (rec && broker.submit(*rec)) {
+      inherited.try_emplace(rec->key, cell.workload);
     }
-    if (submitted != 0 && options.workers != 0) {
-      std::vector<pid_t> children;
-      for (std::size_t w = 0; w < options.workers; ++w) {
-        const pid_t pid = ::fork();
-        if (pid < 0) break;  // fork pressure: run with fewer workers
-        if (pid == 0) {
-          FleetConfig cfg = options.config;
-          if (w == 0 && options.killFirstWorkerAfterClaims != 0) {
-            const std::size_t killAfter = options.killFirstWorkerAfterClaims;
-            cfg.onClaim = [killAfter](std::size_t claims) {
-              if (claims >= killAfter) ::raise(SIGKILL);
-            };
-          }
-          int exitCode = 1;
-          try {
-            FleetWorker worker(storePath, {}, std::move(cfg));
-            const FleetWorker::Step last =
-                worker.run(options.maxShardsPerWorker);
-            exitCode = last == FleetWorker::Step::Stalled      ? 3
-                       : last == FleetWorker::Step::Quarantined ? 4
-                                                                : 0;
-          } catch (...) {
-            exitCode = 1;
-          }
-          // _Exit: no atexit handlers, no flushing the parent's inherited
-          // stdio buffers twice.
-          std::_Exit(exitCode);
-        }
-        children.push_back(pid);
-      }
-      for (const pid_t pid : children) {
-        int status = 0;
-        while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-        }
-        if (WIFSIGNALED(status)) {
-          std::fprintf(stderr,
-                       "fleet worker (pid %ld) died on signal %d; its "
-                       "shards will be re-leased or finished in-process\n",
-                       static_cast<long>(pid), WTERMSIG(status));
-        }
-      }
-    }
-  }  // broker closes its store handle before the final pass reopens it
-#else
-  (void)options;
-#endif
-  // Final pass: a resume-bound suite over the fleet store completes any
-  // remainder (cells never submitted, shards lost to crashes) and performs
-  // the cell-order merge. By the suite's resume contract its results are
-  // bit-identical to suite.run() — this is what makes the fleet safe: no
-  // lease interleaving can change the answer, only how much of the work
-  // this final pass still has to do.
+  }
+  if (!fleet.workloadResolver) {
+    fleet.workloadResolver =
+        [inherited, fallback = registryResolver()](
+            const CampaignStore::CellRecord& cell) mutable
+        -> std::shared_ptr<const Workload> {
+      const auto it = inherited.find(cell.key);
+      if (it == inherited.end()) return fallback(cell);
+      // Non-owning: the suite outlives every worker forked from its owner.
+      return {std::shared_ptr<const Workload>(), it->second};
+    };
+  }
+  return inherited.size();
+}
+
+std::vector<CampaignResult> finishSuite(const CampaignSuite& suite,
+                                        const SuiteConfig& config,
+                                        const std::string& storePath) {
+  // No lease interleaving can change this pass's answer, only how much of
+  // the work it still has to do — which is what makes the fleet safe.
   CampaignStore store(storePath, CampaignStore::WriteMode::Atomic);
   store.load();
   SuiteConfig finalConfig = config;
@@ -618,6 +603,61 @@ std::vector<CampaignResult> runFleet(const CampaignSuite& suite,
     remainder.addCell(suite.cell(c));
   }
   return remainder.run();
+}
+
+std::vector<CampaignResult> runFleet(const CampaignSuite& suite,
+                                     SuiteConfig config,
+                                     const std::string& storePath,
+                                     const LocalFleetOptions& options) {
+#if !defined(_WIN32)
+  FleetConfig fleet = options.config;
+  if (submitSuite(suite, config, storePath, fleet) != 0 &&
+      options.workers != 0) {
+    std::vector<pid_t> children;
+    for (std::size_t w = 0; w < options.workers; ++w) {
+      const pid_t pid = ::fork();
+      if (pid < 0) break;  // fork pressure: run with fewer workers
+      if (pid == 0) {
+        FleetConfig cfg = fleet;
+        if (w == 0 && options.killFirstWorkerAfterClaims != 0) {
+          const std::size_t killAfter = options.killFirstWorkerAfterClaims;
+          cfg.onClaim = [killAfter](std::size_t claims) {
+            if (claims >= killAfter) ::raise(SIGKILL);
+          };
+        }
+        int exitCode = 1;
+        try {
+          FleetWorker worker(storePath, {}, std::move(cfg));
+          const FleetWorker::Step last =
+              worker.run(options.maxShardsPerWorker);
+          exitCode = last == FleetWorker::Step::Stalled      ? 3
+                     : last == FleetWorker::Step::Quarantined ? 4
+                                                              : 0;
+        } catch (...) {
+          exitCode = 1;
+        }
+        // _Exit: no atexit handlers, no flushing the parent's inherited
+        // stdio buffers twice.
+        std::_Exit(exitCode);
+      }
+      children.push_back(pid);
+    }
+    for (const pid_t pid : children) {
+      int status = 0;
+      while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+      }
+      if (WIFSIGNALED(status)) {
+        std::fprintf(stderr,
+                     "fleet worker (pid %ld) died on signal %d; its "
+                     "shards will be re-leased or finished in-process\n",
+                     static_cast<long>(pid), WTERMSIG(status));
+      }
+    }
+  }
+#else
+  (void)options;
+#endif
+  return finishSuite(suite, config, storePath);
 }
 
 }  // namespace onebit::fi

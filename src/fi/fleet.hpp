@@ -49,6 +49,11 @@
 
 namespace onebit::fi {
 
+/// Maps a cell record to the workload a worker runs for it; null marks the
+/// cell unrunnable for that worker.
+using WorkloadResolver = std::function<std::shared_ptr<const Workload>(
+    const CampaignStore::CellRecord&)>;
+
 /// Knobs shared by brokers and workers of one fleet.
 struct FleetConfig {
   /// Lease duration: a claim or heartbeat extends the lease this far into
@@ -107,13 +112,16 @@ struct FleetConfig {
   /// runs, with the number of claims made so far (1-based). Throwing (or
   /// raising a signal) here models a worker crashing right after claiming.
   std::function<void(std::size_t)> onClaim;
-  /// Maps a cell record to the workload to run. Null uses the default
-  /// resolver: compile the progs registry program named by the record with
-  /// the record's hang factor and plain policies. A resolver returning null
-  /// marks the cell unrunnable for this worker.
-  std::function<std::shared_ptr<const Workload>(
-      const CampaignStore::CellRecord&)>
-      workloadResolver;
+  /// Maps a cell record to the workload to run. Null resolves through the
+  /// progs registry: the program named by the record, compiled with the
+  /// record's hang factor and threaded dispatch, memoised per (program,
+  /// hang factor) so each worker compiles and profiles a program once.
+  /// runFleet / runSupervisedFleet fill an unset resolver with the
+  /// submitter's own workloads (see submitSuite). Whatever a resolver
+  /// returns, the worker re-derives the cell's campaign key from it and
+  /// refuses the cell on a mismatch. A resolver returning null marks the
+  /// cell unrunnable for this worker.
+  WorkloadResolver workloadResolver;
 
   [[nodiscard]] std::uint64_t resolvedHeartbeatMs() const noexcept {
     return heartbeatMs != 0 ? heartbeatMs : leaseMs / 3;
@@ -246,6 +254,12 @@ class FleetWorker {
   std::uint64_t prevSleepMs_ = 0;  ///< previous idle sleep (jitter input)
   std::unordered_map<std::uint64_t, std::unique_ptr<CellExec>> execs_;
   std::unordered_set<std::uint64_t> unrunnable_;
+  /// store_.cells(), re-copied only when a read indexes cell records (a
+  /// compaction rewind re-reads every cell, so it re-copies too).
+  std::vector<CampaignStore::CellRecord> cells_;
+  /// cells_[c] is fully recorded. Shard records never leave the index short
+  /// of a rewind, and a rewind re-copies cells_, so the flag is sticky.
+  std::vector<bool> recorded_;
 };
 
 /// Options for runFleet(), the in-process fleet driver.
@@ -266,8 +280,10 @@ struct LocalFleetOptions {
 /// shards lost to crashed workers) with a resume-bound CampaignSuite over
 /// the same store. That final pass also performs the merge, so the returned
 /// results are bit-identical to `suite.run()` by the suite's own resume
-/// contract — regardless of worker count or crash pattern. On platforms
-/// without fork(), the whole suite runs in-process (results unchanged).
+/// contract — regardless of worker count or crash pattern. Unless
+/// `options.config` names a resolver, the workers run the suite's own
+/// workloads (see submitSuite). On platforms without fork(), the whole
+/// suite runs in-process (results unchanged).
 ///
 /// `config` must be the SuiteConfig `suite` was built with (it fixes the
 /// shard geometry); its record/resume stores are ignored in favor of the
@@ -276,5 +292,28 @@ std::vector<CampaignResult> runFleet(const CampaignSuite& suite,
                                      SuiteConfig config,
                                      const std::string& storePath,
                                      const LocalFleetOptions& options = {});
+
+// The two halves every local fleet driver (runFleet, runSupervisedFleet)
+// wraps around its worker processes.
+
+/// Submit every expressible cell of `suite` to the store at `storePath` and
+/// return how many distinct campaigns the store accepted. When `fleet` has
+/// no workloadResolver, install one mapping each accepted cell's campaign
+/// key to the suite's own Workload (non-owning: workers forked from this
+/// process inherit the suite), falling back to the registry resolver for
+/// keys not submitted here. Forked workers then run exactly what the
+/// in-process path runs — same dispatch, snapshot cache and prune policy —
+/// without compiling anything. `config` fixes the shard geometry, as for
+/// runFleet.
+std::size_t submitSuite(const CampaignSuite& suite, const SuiteConfig& config,
+                        const std::string& storePath, FleetConfig& fleet);
+
+/// The final pass: a resume-bound suite over the fleet store completes any
+/// remainder (cells never submitted, shards lost to crashes or quarantined)
+/// and performs the cell-order merge, so the results are bit-identical to
+/// suite.run() whatever the workers did.
+std::vector<CampaignResult> finishSuite(const CampaignSuite& suite,
+                                        const SuiteConfig& config,
+                                        const std::string& storePath);
 
 }  // namespace onebit::fi

@@ -2,12 +2,15 @@
 // it rides on): the adaptive-deadline formula, quarantine skip/force
 // semantics at the worker level, cost stamping in completion leases,
 // adaptive deadlines driven by observed cost on a fake clock, and full
-// supervised runs — clean, poisoned (quarantines exactly the poisoned
-// shard), and chaos-killed — all bit-identical to solo.
+// supervised runs — clean, resolver-free (workers and their respawns
+// inherit the submitter's workloads), poisoned (quarantines exactly the
+// poisoned shard), and chaos-killed — all bit-identical to solo.
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <csignal>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -67,6 +70,7 @@ class SupervisorFixture : public ::testing::Test {
     std::remove(path_.c_str());
     std::remove((path_ + ".lock").c_str());
     std::remove((path_ + ".quarantined").c_str());
+    std::remove((path_ + ".crashed").c_str());
   }
 
   [[nodiscard]] FleetConfig fleetConfig() const {
@@ -318,6 +322,58 @@ TEST_F(SupervisorFixture, SupervisedFleetMatchesSolo) {
   EXPECT_GE(report.spawned, options.workers);
   EXPECT_EQ(report.quarantined.size(), 0u);
   EXPECT_EQ(report.quarantinedShards, 0u);
+}
+
+TEST_F(SupervisorFixture, WorkersWithoutAResolverInheritTheSuiteOnRespawn) {
+  // "alpha" and "beta" are not registry programs, so only the submitter's
+  // own workloads can run them. With no resolver set, every worker — and,
+  // in the crash run, the incarnation respawned after the first claim of
+  // the fleet SIGKILLed its worker — runs every shard; the in-process final
+  // pass finds nothing left.
+  const std::vector<CellSpec> cells = mixedCells();
+  SuiteConfig config;
+  config.shardSize = 16;
+  for (const bool crash : {false, true}) {
+    cleanup();
+    FleetSupervisorConfig options;
+    options.workers = 2;
+    options.backoffBaseMs = 1;
+    options.backoffCapMs = 20;
+    options.fleet.pollMs = 2;
+    options.fleet.leaseMs = 2'000;
+    if (crash) {
+      // One crash across all incarnations: the marker file outlives the
+      // worker that creates it.
+      options.fleet.onClaim = [marker = path_ + ".crashed"](std::size_t) {
+        if (std::FILE* f = std::fopen(marker.c_str(), "wx")) {
+          std::fclose(f);
+          ::raise(SIGKILL);
+        }
+      };
+    }
+    FleetSupervisor::Report report;
+    const std::vector<CampaignResult> results = runSupervisedFleet(
+        makeSuite(cells, config), config, path_, options, &report);
+    expectMatchesSolo(results, cells);
+    EXPECT_TRUE(report.converged) << "crash=" << crash;
+    EXPECT_EQ(report.crashes, crash ? 1u : 0u);
+    EXPECT_EQ(report.restarts, crash ? 1u : 0u);
+    EXPECT_EQ(report.quarantinedShards, 0u);
+
+    CampaignStore store(path_, CampaignStore::WriteMode::Atomic);
+    store.load();
+    for (const CampaignStore::CellRecord& cell : store.cells()) {
+      for (std::size_t s = 0; s < cell.shardCount(); ++s) {
+        const std::size_t first = cell.shardFirst(s);
+        const std::size_t count = cell.shardExperiments(s);
+        EXPECT_NE(store.findShard(cell.key, first, count), nullptr);
+        // A completion lease: a worker ran the shard, not the final pass.
+        const auto lease = store.latestLease(cell.key, first, count);
+        ASSERT_TRUE(lease.has_value()) << "crash=" << crash;
+        EXPECT_NE(lease->costMs, 0u) << "crash=" << crash;
+      }
+    }
+  }
 }
 
 TEST_F(SupervisorFixture, PoisonShardIsQuarantinedAndResultsStillMatchSolo) {

@@ -2,8 +2,11 @@
 // worker counts, crash-after-claim → lease expiry → epoch-bumped re-lease
 // (on a fake clock, so expiry is deterministic), the same-host dead-pid
 // fast path, SIGKILL-a-worker fault tolerance through runFleet, shard-record
-// byte identity between fleet and solo stores, stalled-worker semantics for
-// unresolvable cells, and compaction of a finished fleet store.
+// byte identity between fleet and solo stores (with and without pruning),
+// stalled-worker semantics for unresolvable and key-mismatched cells,
+// workers inheriting the submitter's workloads when no resolver is set, the
+// registry resolver of standalone workers, and compaction of a finished
+// fleet store.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -11,7 +14,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +26,7 @@
 #include "fi/fleet.hpp"
 #include "fi/suite.hpp"
 #include "lang/compile.hpp"
+#include "progs/registry.hpp"
 #include "util/file_lock.hpp"
 
 namespace onebit::fi {
@@ -76,6 +83,39 @@ std::vector<std::string> shardLines(const std::string& path) {
   std::sort(lines.begin(), lines.end());
   lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
   return lines;
+}
+
+/// Every shard of every cell in the store at `path` is recorded, and its
+/// newest lease is a completion lease (cost_ms stamped) — a fleet worker ran
+/// it, not the in-process final pass.
+void expectWorkersRanEveryShard(const std::string& path) {
+  CampaignStore store(path, CampaignStore::WriteMode::Atomic);
+  store.load();
+  const std::vector<CampaignStore::CellRecord> cells = store.cells();
+  ASSERT_FALSE(cells.empty());
+  for (const CampaignStore::CellRecord& cell : cells) {
+    for (std::size_t s = 0; s < cell.shardCount(); ++s) {
+      const std::size_t first = cell.shardFirst(s);
+      const std::size_t count = cell.shardExperiments(s);
+      EXPECT_NE(store.findShard(cell.key, first, count), nullptr)
+          << cell.workload << " shard " << s;
+      const auto lease = store.latestLease(cell.key, first, count);
+      ASSERT_TRUE(lease.has_value()) << cell.workload << " shard " << s;
+      EXPECT_NE(lease->costMs, 0u) << cell.workload << " shard " << s;
+    }
+  }
+}
+
+std::size_t countLines(const std::string& path, const std::string& needle) {
+  std::size_t n = 0;
+  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
+    char buf[1 << 16];
+    while (std::fgets(buf, sizeof buf, f) != nullptr) {
+      if (std::string(buf).find(needle) != std::string::npos) ++n;
+    }
+    std::fclose(f);
+  }
+  return n;
 }
 
 class FleetFixture : public ::testing::Test {
@@ -428,6 +468,210 @@ TEST_F(FleetFixture, FleetShardRecordsAreByteIdenticalToSoloRecords) {
   EXPECT_EQ(fleet.size(), solo.size());
   EXPECT_EQ(fleet, solo);  // byte-identical records, not just equal counts
   std::remove(soloPath.c_str());
+}
+
+TEST_F(FleetFixture, WorkersWithoutAResolverRunTheSubmittersWorkloads) {
+  // "alpha" and "beta" are not progs registry programs: a worker could not
+  // rebuild them. With no resolver set, runFleet's workers inherit the
+  // suite's own workloads, so every shard runs in a worker and none is left
+  // for the in-process final pass.
+  const std::vector<CellSpec> cells = mixedCells();
+  SuiteConfig config;
+  config.shardSize = 16;
+  const CampaignSuite suite = makeSuite(cells, config);
+  LocalFleetOptions options;
+  options.workers = 2;
+  options.config.pollMs = 2;
+  const std::vector<CampaignResult> results =
+      runFleet(suite, config, path_, options);
+  const std::vector<CampaignResult> refs = makeSuite(cells, config).run();
+  ASSERT_EQ(results.size(), refs.size());
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    EXPECT_EQ(results[i].counts, refs[i].counts) << "cell " << i;
+    EXPECT_EQ(results[i].activationHist, refs[i].activationHist)
+        << "cell " << i;
+    EXPECT_TRUE(results[i].complete()) << "cell " << i;
+  }
+  expectWorkersRanEveryShard(path_);
+}
+
+TEST_F(FleetFixture, PrunedFleetShardRecordsAreByteIdenticalToSoloRecords) {
+  // Inherited workloads carry the submitter's prune policy, so fleet
+  // workers prune and persist outcome records exactly as a pruned solo run
+  // does; shard records stay byte-identical.
+  alpha_ = std::make_shared<Workload>(lang::compileMiniC(kAlpha),
+                                      Workload::kDefaultHangFactor,
+                                      SnapshotPolicy{}, PrunePolicy::on());
+  beta_ = std::make_shared<Workload>(lang::compileMiniC(kBeta),
+                                     Workload::kDefaultHangFactor,
+                                     SnapshotPolicy{}, PrunePolicy::on());
+  const std::vector<CellSpec> cells = mixedCells();
+  SuiteConfig config;
+  config.shardSize = 16;
+  config.pruning = true;
+  {
+    LocalFleetOptions options;
+    options.workers = 2;
+    options.config.pollMs = 2;
+    options.config.pruning = true;
+    (void)runFleet(makeSuite(cells, config), config, path_, options);
+  }
+  expectWorkersRanEveryShard(path_);
+  const std::string soloPath = path_ + ".solo";
+  std::remove(soloPath.c_str());
+  {
+    CampaignStore store(soloPath);
+    SuiteConfig recordConfig = config;
+    recordConfig.record = &store;
+    (void)makeSuite(cells, recordConfig).run();
+  }
+  EXPECT_EQ(shardLines(path_), shardLines(soloPath));
+  const std::string outcome = "\"kind\":\"outcome\"";
+  EXPECT_GT(countLines(soloPath, outcome), 0u);
+  EXPECT_GT(countLines(path_, outcome), 0u);
+  std::remove(soloPath.c_str());
+}
+
+TEST_F(FleetFixture, ResolverWithAnotherHangFactorIsRefusedAsAKeyMismatch) {
+  const auto cell = FleetBroker::makeCell(
+      "alpha", *alpha_, FaultModel::singleBit(FaultDomain::RegisterRead), 32,
+      0xaaa1, 16);
+  ASSERT_TRUE(cell.has_value());
+  {
+    FleetBroker broker(path_);
+    ASSERT_TRUE(broker.submit(*cell));
+  }
+  // Same program, different faulty-run budget: a different fingerprint, so
+  // the worker must not record its shards under the submitted key.
+  const auto skewed = std::make_shared<const Workload>(
+      lang::compileMiniC(kAlpha), 2 * alpha_->hangFactor());
+  FleetConfig config;
+  config.pollMs = 2;
+  config.workloadResolver = [skewed](const CampaignStore::CellRecord&) {
+    return skewed;
+  };
+  FleetWorker worker(path_, "", config);
+  EXPECT_EQ(worker.run(), FleetWorker::Step::Stalled);
+  EXPECT_EQ(worker.shardsRun(), 0u);
+  EXPECT_TRUE(shardLines(path_).empty());
+}
+
+TEST_F(FleetFixture, StandaloneWorkerResolvesRegistryPrograms) {
+  // No suite to inherit: the worker compiles the named registry program
+  // itself (once, memoised across both cells) and must reproduce the
+  // submitter's keys and records.
+  const progs::ProgramInfo* info = progs::findProgram("crc32");
+  ASSERT_NE(info, nullptr);
+  const Workload crc(progs::compileProgram(*info));
+  SuiteConfig config;
+  config.shardSize = 8;
+  CampaignSuite suite(config);
+  suite.addCell("read", crc, FaultModel::singleBit(FaultDomain::RegisterRead),
+                24, 0xc1, "crc32");
+  suite.addCell("write", crc,
+                FaultModel::singleBit(FaultDomain::RegisterWrite), 16, 0xc2,
+                "crc32");
+  {
+    FleetBroker broker(path_);
+    for (std::size_t c = 0; c < suite.cellCount(); ++c) {
+      const SuiteCell& cell = suite.cell(c);
+      const auto rec = FleetBroker::makeCell(
+          cell.storeName, crc, cell.model, cell.experiments, cell.seed,
+          config.shardSize);
+      ASSERT_TRUE(rec.has_value());
+      ASSERT_TRUE(broker.submit(*rec));
+    }
+  }
+  FleetConfig fleet;
+  fleet.pollMs = 2;
+  FleetWorker worker(path_, "", fleet);
+  EXPECT_EQ(worker.run(), FleetWorker::Step::Done);
+  EXPECT_EQ(worker.shardsRun(), 5u);
+  expectWorkersRanEveryShard(path_);
+
+  const std::string soloPath = path_ + ".solo";
+  std::remove(soloPath.c_str());
+  {
+    CampaignStore store(soloPath);
+    SuiteConfig recordConfig = config;
+    recordConfig.record = &store;
+    CampaignSuite solo(recordConfig);
+    for (std::size_t c = 0; c < suite.cellCount(); ++c) {
+      solo.addCell(suite.cell(c));
+    }
+    (void)solo.run();
+  }
+  EXPECT_EQ(shardLines(path_), shardLines(soloPath));
+  std::remove(soloPath.c_str());
+}
+
+TEST_F(FleetFixture, WorkerClaimsInLptOrderAndPicksUpLateCells) {
+  // The worker keeps its cell list across claims; the claim order must
+  // still be exactly the LPT order recomputed from scratch before every
+  // claim, including after a cell is submitted mid-run.
+  std::vector<CampaignStore::CellRecord> submitted;
+  auto submit = [&](const CellSpec& spec) {
+    const auto rec =
+        FleetBroker::makeCell(spec.name, workloadOf(spec), spec.model,
+                              spec.experiments, spec.seed, 16);
+    ASSERT_TRUE(rec.has_value());
+    FleetBroker broker(path_);
+    ASSERT_TRUE(broker.submit(*rec));
+    submitted.push_back(*rec);
+  };
+  for (const CellSpec& spec : mixedCells()) submit(spec);
+  const CellSpec late{"beta", FaultModel::singleBit(FaultDomain::RegisterRead),
+                      400, 0xbbb3};
+
+  // The oracle: cells by descending dynInstrs × pending experiments (ties
+  // in submission order), the lowest unrecorded shard of the first one.
+  std::set<std::pair<std::uint64_t, std::size_t>> recorded;
+  auto expectedNext = [&]() -> std::optional<std::pair<std::uint64_t,
+                                                       std::size_t>> {
+    std::optional<std::pair<std::uint64_t, std::size_t>> best;
+    std::uint64_t bestCost = 0;
+    for (const CampaignStore::CellRecord& cell : submitted) {
+      std::size_t pending = 0;
+      std::optional<std::size_t> lowest;
+      for (std::size_t s = 0; s < cell.shardCount(); ++s) {
+        if (recorded.count({cell.key, s}) != 0) continue;
+        pending += cell.shardExperiments(s);
+        if (!lowest) lowest = s;
+      }
+      if (lowest && (!best || cell.dynInstrs * pending > bestCost)) {
+        best = {{cell.key, *lowest}};
+        bestCost = cell.dynInstrs * pending;
+      }
+    }
+    return best;
+  };
+
+  FleetWorker worker(path_, "", fleetConfig());
+  CampaignStore reader(path_, CampaignStore::WriteMode::Atomic);
+  for (std::size_t step = 0;; ++step) {
+    if (step == 3) submit(late);
+    const auto expected = expectedNext();
+    if (!expected) {
+      EXPECT_EQ(worker.step(), FleetWorker::Step::Done);
+      break;
+    }
+    ASSERT_EQ(worker.step(), FleetWorker::Step::Ran) << "step " << step;
+    reader.load();
+    std::vector<std::pair<std::uint64_t, std::size_t>> fresh;
+    for (const CampaignStore::CellRecord& cell : submitted) {
+      for (std::size_t s = 0; s < cell.shardCount(); ++s) {
+        if (recorded.count({cell.key, s}) == 0 &&
+            reader.findShard(cell.key, cell.shardFirst(s),
+                             cell.shardExperiments(s)) != nullptr) {
+          fresh.emplace_back(cell.key, s);
+        }
+      }
+    }
+    ASSERT_EQ(fresh.size(), 1u) << "step " << step;
+    EXPECT_EQ(fresh[0], *expected) << "step " << step;
+    recorded.insert(fresh[0]);
+  }
+  EXPECT_EQ(recorded.size(), 26u + 25u);
 }
 
 TEST_F(FleetFixture, CompactDropsEveryLeaseOfAFinishedFleetRun) {
