@@ -49,30 +49,31 @@
 //                       (checkpoint cap; partial results, for testing
 //                       interruption without killing the process)
 //
-// Campaign-fleet knobs (multi-process execution; see fi/fleet.hpp and the
-// "Campaign fleet" section of docs/ARCHITECTURE.md):
+// Campaign-fleet knobs (multi-process execution; see fi/fleet.hpp,
+// fi/supervisor.hpp and the "Campaign fleet" and "Self-healing fleet"
+// sections of docs/ARCHITECTURE.md):
 //   ONEBIT_FLEET_WORKERS      fork this many fleet worker processes and run
 //                       the sweep through the lease broker instead of the
-//                       in-process thread pool (0/unset = off). Output is
-//                       bit-identical to the in-process run. Uses
-//                       ONEBIT_STORE when set (the store doubles as the
-//                       fleet's work queue and makes the run resumable);
-//                       otherwise a temporary store is created and removed.
+//                       in-process thread pool (0/unset = off). The
+//                       supervisor respawns crashed workers with capped
+//                       exponential backoff, quarantines shards that
+//                       repeatedly kill their workers, and the final
+//                       in-process remainder pass finishes everything, so
+//                       output is bit-identical to the in-process run. A
+//                       `[fleet]` line on stderr reports spawns, restarts,
+//                       crashes and quarantines. Uses ONEBIT_STORE when set
+//                       (the store doubles as the fleet's work queue and
+//                       makes the run resumable); otherwise a temporary
+//                       store is created and removed. ONEBIT_MAX_SHARDS
+//                       also caps each worker incarnation, which is then
+//                       respawned.
 //   ONEBIT_FLEET_LEASE_MS     shard lease duration (default 30000)
 //   ONEBIT_FLEET_HEARTBEAT_MS lease heartbeat period (default lease/3)
-//   ONEBIT_FLEET_KILL_AFTER   crash injection: the first worker SIGKILLs
-//                       itself right after its Nth lease claim; survivors
-//                       re-lease its shards (tests fault tolerance without
+//   ONEBIT_FLEET_KILL_AFTER   crash injection: the first worker's first
+//                       incarnation SIGKILLs itself right after its Nth
+//                       lease claim; it is respawned once and its shards
+//                       are re-leased (tests fault tolerance without
 //                       changing any output; 0/unset = off)
-//
-// Self-healing fleet knobs (see fi/supervisor.hpp and the "Self-healing
-// fleet" section of docs/ARCHITECTURE.md):
-//   ONEBIT_FLEET_SUPERVISE    1 = run the fleet under a FleetSupervisor:
-//                       crashed workers are respawned with capped
-//                       exponential backoff, shards that repeatedly kill
-//                       their workers are quarantined, and the final
-//                       in-process remainder pass finishes everything —
-//                       output stays bit-identical to the in-process run
 //   ONEBIT_POISON_RETRIES     mid-lease worker deaths on one shard range
 //                       before the supervisor quarantines it (default 3)
 //   ONEBIT_LEASE_QUANTILE     adaptive lease deadlines: quantile of
@@ -80,8 +81,8 @@
 //                       (default 0.9; 0 = fixed deadlines)
 //   ONEBIT_FLEET_POISON       test hook "NAME[:SHARD]": a worker SIGKILLs
 //                       itself right after claiming that shard (any shard
-//                       of NAME when :SHARD is omitted) — the supervised
-//                       fleet quarantines it and still converges
+//                       of NAME when :SHARD is omitted) — the fleet
+//                       quarantines it and still converges
 //   ONEBIT_FLEET_CHAOS_KILL_MS  chaos hook: the supervisor SIGKILLs one
 //                       random live worker roughly this often (never
 //                       counted toward poison detection; 0/unset = off)
@@ -277,30 +278,17 @@ inline void applyFleetEnv(fi::FleetConfig& config) {
   }
 }
 
-/// The local-fleet options selected by the ONEBIT_FLEET_* knobs.
+/// The local-fleet options selected by the env knobs.
 inline fi::LocalFleetOptions fleetOptionsFromEnv() {
   fi::LocalFleetOptions opts;
   opts.workers = fleetWorkers();
   applyFleetEnv(opts.config);
-  opts.killFirstWorkerAfterClaims = util::envSize("ONEBIT_FLEET_KILL_AFTER");
-  return opts;
-}
-
-/// True when ONEBIT_FLEET_SUPERVISE selects the self-healing fleet path.
-inline bool fleetSupervised() {
-  return util::envInt("ONEBIT_FLEET_SUPERVISE", 0) != 0;
-}
-
-/// The supervised-fleet options selected by the env knobs.
-inline fi::FleetSupervisorConfig supervisorOptionsFromEnv() {
-  fi::FleetSupervisorConfig opts;
-  opts.workers = fleetWorkers();
   opts.poisonRetries = util::envSize("ONEBIT_POISON_RETRIES",
                                      opts.poisonRetries);
+  opts.maxShardsPerWorker = util::envSize("ONEBIT_MAX_SHARDS");
   opts.chaosKillMs = static_cast<std::uint64_t>(
       util::envSize("ONEBIT_FLEET_CHAOS_KILL_MS"));
-  opts.maxShardsPerWorker = util::envSize("ONEBIT_MAX_SHARDS");
-  applyFleetEnv(opts.fleet);
+  opts.killFirstWorkerAfterClaims = util::envSize("ONEBIT_FLEET_KILL_AFTER");
   return opts;
 }
 
@@ -428,22 +416,16 @@ class SweepBuilder {
       storePath = util::envStr("TMPDIR", "/tmp") + "/onebit_fleet_" +
                   std::to_string(util::currentPid()) + ".jsonl";
     }
-    std::vector<fi::CampaignResult> results;
-    if (fleetSupervised()) {
-      fi::FleetSupervisor::Report report;
-      results = fi::runSupervisedFleet(suite_, suiteConfigFromEnv(),
-                                       storePath, supervisorOptionsFromEnv(),
-                                       &report);
-      std::fprintf(stderr,
-                   "[fleet] supervised: %zu spawned, %zu restarts, "
-                   "%zu crashes (%zu chaos), %zu quarantined shard(s)%s\n",
-                   report.spawned, report.restarts, report.crashes,
-                   report.chaosKills, report.quarantined.size(),
-                   report.converged ? "" : " — did not converge");
-    } else {
-      results = fi::runFleet(suite_, suiteConfigFromEnv(), storePath,
-                             fleetOptionsFromEnv());
-    }
+    fi::FleetSupervisor::Report report;
+    std::vector<fi::CampaignResult> results =
+        fi::runFleet(suite_, suiteConfigFromEnv(), storePath,
+                     fleetOptionsFromEnv(), &report);
+    std::fprintf(stderr,
+                 "[fleet] %zu spawned, %zu restarts, %zu crashes (%zu chaos), "
+                 "%zu quarantined shard(s)%s\n",
+                 report.spawned, report.restarts, report.crashes,
+                 report.chaosKills, report.quarantined.size(),
+                 report.converged ? "" : " — did not converge");
     if (temporary) {
       std::remove(storePath.c_str());
       std::remove((storePath + ".lock").c_str());

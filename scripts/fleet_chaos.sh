@@ -1,7 +1,7 @@
 #!/bin/sh
 # Fleet chaos smoke: the self-healing fleet must converge under fire and
 # still be a pure scheduling change. Run a paper figure solo, then as a
-# supervised 3-worker fleet where the supervisor SIGKILLs a random worker
+# 3-worker fleet where the supervisor SIGKILLs a random worker
 # every ONEBIT_CHAOS_MS (default 100 ms; raise it for slow sanitized
 # builds — if kills outpace shard completion the fleet starves instead of
 # converging) AND shard 1 of every 'qsort' cell is poisoned (the worker
@@ -45,10 +45,9 @@ ONEBIT_STORE="$tmp/solo.jsonl" \
   "$build/bench_fig1_single_bit" > "$tmp/fig1_solo.csv"
 
 chaos_ms=${ONEBIT_CHAOS_MS:-100}
-echo "== supervised fleet: chaos kills every $chaos_ms ms, 'qsort' shard 1 poisoned"
+echo "== fleet: chaos kills every $chaos_ms ms, 'qsort' shard 1 poisoned"
 ONEBIT_STORE="$tmp/fleet.jsonl" \
   ONEBIT_FLEET_WORKERS=3 \
-  ONEBIT_FLEET_SUPERVISE=1 \
   ONEBIT_FLEET_CHAOS_KILL_MS="$chaos_ms" \
   ONEBIT_FLEET_POISON=qsort:1 \
   ONEBIT_POISON_RETRIES=2 \

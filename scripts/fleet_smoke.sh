@@ -4,6 +4,8 @@
 # SIGKILLs itself right after its first lease claim (the abandoned lease is
 # re-issued at the next epoch), then require:
 #
+#   0. the fleet's `[fleet]` report line on stderr counts exactly one
+#      restart: the killed worker was respawned once and not killed again,
 #   1. byte-identical CSV stdout between the solo and fleet runs,
 #   2. byte-identical shard records between the solo and fleet stores
 #      (sorted + deduplicated: re-run shards are byte-duplicates by the
@@ -51,7 +53,11 @@ ONEBIT_STORE="$tmp/fleet.jsonl" \
   ONEBIT_FLEET_WORKERS=3 \
   ONEBIT_FLEET_KILL_AFTER=1 \
   ONEBIT_FLEET_LEASE_MS=2000 \
-  "$build/bench_fig1_single_bit" > "$tmp/fig1_fleet.csv"
+  "$build/bench_fig1_single_bit" > "$tmp/fig1_fleet.csv" 2> "$tmp/fleet.log"
+cat "$tmp/fleet.log"
+
+echo "== the killed worker was respawned exactly once"
+grep '^\[fleet\]' "$tmp/fleet.log" | grep -q ' 1 restarts,'
 
 echo "== CSV byte-identity"
 diff "$tmp/fig1_solo.csv" "$tmp/fig1_fleet.csv"

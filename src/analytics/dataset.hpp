@@ -11,9 +11,8 @@
 //     crashed or mid-append writer left is counted malformed / retried, not
 //     fatal), because it IS CampaignStore::load underneath: each file
 //     source owns a private read-only CampaignStore instance, and the
-//     tables are built from CampaignStore::snapshot() copies — the
-//     snapshot-then-process pattern the store's no-reentry contract
-//     prescribes.
+//     tables are built from CampaignStore::snapshot() copies, so no store
+//     mutex is held while they are processed.
 //   * poll() re-reads only the bytes other processes appended since the
 //     last load (CampaignStore::refresh), so a live dashboard polling a
 //     large fleet store pays for the new records, not the whole file.

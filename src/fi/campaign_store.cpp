@@ -1172,13 +1172,14 @@ std::optional<CampaignStore::QuarantineRecord> CampaignStore::findQuarantine(
   return it->second;
 }
 
-void CampaignStore::forEachQuarantine(
-    std::uint64_t key,
-    const std::function<void(const QuarantineRecord&)>& fn) const {
+std::vector<CampaignStore::QuarantineRecord> CampaignStore::quarantines(
+    std::uint64_t key) const {
   std::lock_guard lock(mutex_);
+  std::vector<QuarantineRecord> out;
   const auto ranges = quarantines_.find(key);
-  if (ranges == quarantines_.end()) return;
-  for (const auto& [range, rec] : ranges->second) fn(rec);
+  if (ranges == quarantines_.end()) return out;
+  for (const auto& [range, rec] : ranges->second) out.push_back(rec);
+  return out;
 }
 
 const CampaignStore::CellRecord* CampaignStore::findCell(
@@ -1203,22 +1204,25 @@ std::optional<CampaignStore::LeaseRecord> CampaignStore::latestLease(
   return it->second;
 }
 
-void CampaignStore::forEachLease(
-    std::uint64_t key,
-    const std::function<void(const LeaseRecord&)>& fn) const {
+std::vector<CampaignStore::LeaseRecord> CampaignStore::leases(
+    std::uint64_t key) const {
   std::lock_guard lock(mutex_);
+  std::vector<LeaseRecord> out;
   const auto ranges = leases_.find(key);
-  if (ranges == leases_.end()) return;
-  for (const auto& [range, rec] : ranges->second) fn(rec);
+  if (ranges == leases_.end()) return out;
+  for (const auto& [range, rec] : ranges->second) out.push_back(rec);
+  return out;
 }
 
-void CampaignStore::forEachOutcome(
-    std::uint64_t cacheKey,
-    const std::function<void(const OutcomeRecord&)>& fn) const {
+std::vector<CampaignStore::OutcomeRecord> CampaignStore::outcomes(
+    std::uint64_t cacheKey) const {
   std::lock_guard lock(mutex_);
+  std::vector<OutcomeRecord> out;
   const auto cache = outcomes_.find(cacheKey);
-  if (cache == outcomes_.end()) return;
-  for (const auto& [key, rec] : cache->second) fn(rec);
+  if (cache == outcomes_.end()) return out;
+  out.reserve(cache->second.size());
+  for (const auto& [key, rec] : cache->second) out.push_back(rec);
+  return out;
 }
 
 const CampaignStore::ShardAggregate* CampaignStore::findShard(

@@ -452,12 +452,11 @@ class CampaignStore {
   /// as any later one. Returns false on I/O error.
   bool appendOutcome(std::uint64_t cacheKey, const OutcomeRecord& record);
 
-  /// Visit every outcome-cache entry recorded under `cacheKey` (the warm
-  /// start of a resumed pruned campaign). Do not call appendOutcome from
-  /// inside the callback (the store lock is held).
-  void forEachOutcome(
-      std::uint64_t cacheKey,
-      const std::function<void(const OutcomeRecord&)>& fn) const;
+  /// A copy of every outcome-cache entry recorded under `cacheKey` (the
+  /// warm start of a resumed pruned campaign), taken under one mutex
+  /// acquisition.
+  [[nodiscard]] std::vector<OutcomeRecord> outcomes(
+      std::uint64_t cacheKey) const;
 
   /// Look up a recorded shard by campaign key and exact experiment range.
   /// Returns nullptr when absent. Pointers stay valid until the next
@@ -500,13 +499,9 @@ class CampaignStore {
   [[nodiscard]] std::optional<LeaseRecord> latestLease(
       std::uint64_t key, std::size_t first, std::size_t count) const;
 
-  /// Visit the live lease of every leased shard range of campaign `key`.
-  /// The store mutex is held across the callback: do not call ANY method of
-  /// this store from inside it (not even const readers like findShard —
-  /// the mutex is not recursive, so that self-deadlocks). Snapshot into a
-  /// local vector and post-process instead.
-  void forEachLease(std::uint64_t key,
-                    const std::function<void(const LeaseRecord&)>& fn) const;
+  /// A copy of the live lease of every leased shard range of campaign
+  /// `key`, taken under one mutex acquisition.
+  [[nodiscard]] std::vector<LeaseRecord> leases(std::uint64_t key) const;
 
   /// Append one quarantine verdict for a shard range of campaign `key`
   /// (thread-safe). Skipped when the identical record is already the
@@ -518,20 +513,18 @@ class CampaignStore {
   [[nodiscard]] std::optional<QuarantineRecord> findQuarantine(
       std::uint64_t key, std::size_t first, std::size_t count) const;
 
-  /// Visit every quarantined shard range of campaign `key`. Same no-reentry
-  /// contract as forEachLease (the store mutex is held).
-  void forEachQuarantine(
-      std::uint64_t key,
-      const std::function<void(const QuarantineRecord&)>& fn) const;
+  /// A copy of the live quarantine of every quarantined shard range of
+  /// campaign `key`, taken under one mutex acquisition.
+  [[nodiscard]] std::vector<QuarantineRecord> quarantines(
+      std::uint64_t key) const;
 
   /// A shard-range key: (first experiment, experiment count).
   using Range = std::pair<std::size_t, std::size_t>;
 
-  /// A self-contained copy of the in-memory index, taken under ONE mutex
-  /// acquisition — the sanctioned read surface for external consumers
-  /// (src/analytics/): unlike the forEach* visitors above, nothing of the
-  /// store is held while a Snapshot is processed, so readers can never
-  /// trip the no-reentry contract, block appending writers, or observe a
+  /// A self-contained copy of the whole in-memory index, taken under ONE
+  /// mutex acquisition — the read surface for external consumers
+  /// (src/analytics/): nothing of the store is held while a Snapshot is
+  /// processed, so readers never block appending writers or observe a
   /// half-indexed refresh. The copy is immutable and survives any later
   /// load()/refresh()/append on the source store.
   struct Snapshot {
@@ -549,7 +542,7 @@ class CampaignStore {
     std::map<std::uint64_t, Campaign> campaigns;  ///< key-ordered
     std::map<std::string, WorkloadRecord, std::less<>> workloads;
     /// Outcome-cache entry count per cache key (analytics only needs the
-    /// volume; resume reads entries through forEachOutcome).
+    /// volume; resume reads entries through outcomes()).
     std::map<std::uint64_t, std::size_t> outcomeEntries;
   };
 

@@ -1,20 +1,13 @@
 #include "fi/fleet.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <thread>
 #include <utility>
-
-#if !defined(_WIN32)
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
 
 #include "fi/fault_plan.hpp"
 #include "fi/outcome_cache.hpp"
@@ -39,17 +32,6 @@ struct ShardTally {
     ++hist[static_cast<std::size_t>(r.outcome)][bucket];
   }
 };
-
-/// The pid prefix of a "<pid>:<hex>" worker id; nullopt for foreign formats.
-std::optional<std::uint64_t> workerPid(const std::string& worker) {
-  std::uint64_t pid = 0;
-  std::size_t i = 0;
-  for (; i < worker.size() && worker[i] >= '0' && worker[i] <= '9'; ++i) {
-    pid = pid * 10 + static_cast<std::uint64_t>(worker[i] - '0');
-  }
-  if (i == 0 || i >= worker.size() || worker[i] != ':') return std::nullopt;
-  return pid;
-}
 
 /// Is this lease still holding its shard? Expired leases are dead; on a
 /// single host, so are leases whose recorded pid no longer exists (an early
@@ -96,6 +78,19 @@ WorkloadResolver registryResolver() {
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> workerPid(const std::string& workerId) {
+  std::uint64_t pid = 0;
+  std::size_t i = 0;
+  for (; i < workerId.size() && workerId[i] >= '0' && workerId[i] <= '9';
+       ++i) {
+    pid = pid * 10 + static_cast<std::uint64_t>(workerId[i] - '0');
+  }
+  if (i == 0 || i >= workerId.size() || workerId[i] != ':') {
+    return std::nullopt;
+  }
+  return pid;
+}
 
 std::uint64_t adaptiveLeaseMs(std::vector<std::uint64_t> costsMs,
                               double quantile, std::uint64_t baseMs) {
@@ -188,13 +183,7 @@ std::vector<FleetBroker::CellStatus> FleetBroker::status() {
         ++st.quarantinedShards;
       }
     }
-    // Snapshot first: forEachLease holds the store mutex across the
-    // callback, so calling findShard from inside it would self-deadlock.
-    std::vector<CampaignStore::LeaseRecord> leases;
-    store_.forEachLease(cell.key, [&](const CampaignStore::LeaseRecord& l) {
-      leases.push_back(l);
-    });
-    for (const CampaignStore::LeaseRecord& l : leases) {
+    for (const CampaignStore::LeaseRecord& l : store_.leases(cell.key)) {
       if (store_.findShard(cell.key, l.first, l.count) != nullptr) {
         continue;  // superseded: the shard is done, the lease is history
       }
@@ -339,11 +328,10 @@ std::uint64_t FleetWorker::leaseDurationFor(std::uint64_t cellKey) {
   if (!config_.adaptiveLease) return config_.leaseMs;
   // Completion leases carry the observed wall-clock of their shard; the
   // deadline becomes a quantile of those costs (see adaptiveLeaseMs).
-  // Snapshot first — forEachLease holds the store mutex.
   std::vector<std::uint64_t> costs;
-  store_.forEachLease(cellKey, [&](const CampaignStore::LeaseRecord& l) {
+  for (const CampaignStore::LeaseRecord& l : store_.leases(cellKey)) {
     if (l.costMs != 0) costs.push_back(l.costMs);
-  });
+  }
   return adaptiveLeaseMs(std::move(costs), config_.leaseQuantile,
                          config_.leaseMs);
 }
@@ -555,7 +543,7 @@ FleetWorker::Step FleetWorker::run(std::size_t maxShards) {
   }
 }
 
-// ------------------------------------------------------------------- runFleet
+// ------------------------------------------------------- local fleet halves
 
 std::size_t submitSuite(const CampaignSuite& suite, const SuiteConfig& config,
                         const std::string& storePath, FleetConfig& fleet) {
@@ -603,61 +591,6 @@ std::vector<CampaignResult> finishSuite(const CampaignSuite& suite,
     remainder.addCell(suite.cell(c));
   }
   return remainder.run();
-}
-
-std::vector<CampaignResult> runFleet(const CampaignSuite& suite,
-                                     SuiteConfig config,
-                                     const std::string& storePath,
-                                     const LocalFleetOptions& options) {
-#if !defined(_WIN32)
-  FleetConfig fleet = options.config;
-  if (submitSuite(suite, config, storePath, fleet) != 0 &&
-      options.workers != 0) {
-    std::vector<pid_t> children;
-    for (std::size_t w = 0; w < options.workers; ++w) {
-      const pid_t pid = ::fork();
-      if (pid < 0) break;  // fork pressure: run with fewer workers
-      if (pid == 0) {
-        FleetConfig cfg = fleet;
-        if (w == 0 && options.killFirstWorkerAfterClaims != 0) {
-          const std::size_t killAfter = options.killFirstWorkerAfterClaims;
-          cfg.onClaim = [killAfter](std::size_t claims) {
-            if (claims >= killAfter) ::raise(SIGKILL);
-          };
-        }
-        int exitCode = 1;
-        try {
-          FleetWorker worker(storePath, {}, std::move(cfg));
-          const FleetWorker::Step last =
-              worker.run(options.maxShardsPerWorker);
-          exitCode = last == FleetWorker::Step::Stalled      ? 3
-                     : last == FleetWorker::Step::Quarantined ? 4
-                                                              : 0;
-        } catch (...) {
-          exitCode = 1;
-        }
-        // _Exit: no atexit handlers, no flushing the parent's inherited
-        // stdio buffers twice.
-        std::_Exit(exitCode);
-      }
-      children.push_back(pid);
-    }
-    for (const pid_t pid : children) {
-      int status = 0;
-      while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-      }
-      if (WIFSIGNALED(status)) {
-        std::fprintf(stderr,
-                     "fleet worker (pid %ld) died on signal %d; its "
-                     "shards will be re-leased or finished in-process\n",
-                     static_cast<long>(pid), WTERMSIG(status));
-      }
-    }
-  }
-#else
-  (void)options;
-#endif
-  return finishSuite(suite, config, storePath);
 }
 
 }  // namespace onebit::fi

@@ -116,11 +116,10 @@ struct FleetConfig {
   /// progs registry: the program named by the record, compiled with the
   /// record's hang factor and threaded dispatch, memoised per (program,
   /// hang factor) so each worker compiles and profiles a program once.
-  /// runFleet / runSupervisedFleet fill an unset resolver with the
-  /// submitter's own workloads (see submitSuite). Whatever a resolver
-  /// returns, the worker re-derives the cell's campaign key from it and
-  /// refuses the cell on a mismatch. A resolver returning null marks the
-  /// cell unrunnable for this worker.
+  /// runFleet fills an unset resolver with the submitter's own workloads
+  /// (see submitSuite). Whatever a resolver returns, the worker re-derives
+  /// the cell's campaign key from it and refuses the cell on a mismatch. A
+  /// resolver returning null marks the cell unrunnable for this worker.
   WorkloadResolver workloadResolver;
 
   [[nodiscard]] std::uint64_t resolvedHeartbeatMs() const noexcept {
@@ -138,6 +137,11 @@ struct FleetConfig {
 /// default). Pure; exposed for unit testing.
 std::uint64_t adaptiveLeaseMs(std::vector<std::uint64_t> costsMs,
                               double quantile, std::uint64_t baseMs);
+
+/// The pid prefix of a "<pid>:<hex>" worker id (the id format FleetWorker
+/// derives); nullopt for foreign formats. Same-host lease liveness and the
+/// supervisor's crash attribution both read pids through it.
+std::optional<std::uint64_t> workerPid(const std::string& workerId);
 
 /// Submits work to a fleet store and reports on its progress. Stateless
 /// beyond the store handle: every query re-reads the file, so a broker can
@@ -262,39 +266,8 @@ class FleetWorker {
   std::vector<bool> recorded_;
 };
 
-/// Options for runFleet(), the in-process fleet driver.
-struct LocalFleetOptions {
-  std::size_t workers = 2;  ///< worker processes to fork
-  FleetConfig config;
-  /// Crash injection: when nonzero, the FIRST worker kills itself
-  /// (SIGKILL, no cleanup) right after its Nth successful claim — the
-  /// canonical re-lease test. The remaining workers finish the work.
-  std::size_t killFirstWorkerAfterClaims = 0;
-  /// Per-worker cap forwarded to FleetWorker::run().
-  std::size_t maxShardsPerWorker = 0;
-};
-
-/// Run `suite`'s cells as a local fleet over the store at `storePath`:
-/// submit every expressible cell, fork `workers` worker processes, wait for
-/// them, then finish ANY remainder in-process (cells makeCell() refused,
-/// shards lost to crashed workers) with a resume-bound CampaignSuite over
-/// the same store. That final pass also performs the merge, so the returned
-/// results are bit-identical to `suite.run()` by the suite's own resume
-/// contract — regardless of worker count or crash pattern. Unless
-/// `options.config` names a resolver, the workers run the suite's own
-/// workloads (see submitSuite). On platforms without fork(), the whole
-/// suite runs in-process (results unchanged).
-///
-/// `config` must be the SuiteConfig `suite` was built with (it fixes the
-/// shard geometry); its record/resume stores are ignored in favor of the
-/// fleet store.
-std::vector<CampaignResult> runFleet(const CampaignSuite& suite,
-                                     SuiteConfig config,
-                                     const std::string& storePath,
-                                     const LocalFleetOptions& options = {});
-
-// The two halves every local fleet driver (runFleet, runSupervisedFleet)
-// wraps around its worker processes.
+// The two halves runFleet() (fi/supervisor.hpp) wraps around its worker
+// processes.
 
 /// Submit every expressible cell of `suite` to the store at `storePath` and
 /// return how many distinct campaigns the store accepted. When `fleet` has
@@ -304,7 +277,7 @@ std::vector<CampaignResult> runFleet(const CampaignSuite& suite,
 /// keys not submitted here. Forked workers then run exactly what the
 /// in-process path runs — same dispatch, snapshot cache and prune policy —
 /// without compiling anything. `config` fixes the shard geometry, as for
-/// runFleet.
+/// runFleet().
 std::size_t submitSuite(const CampaignSuite& suite, const SuiteConfig& config,
                         const std::string& storePath, FleetConfig& fleet);
 

@@ -11,15 +11,17 @@ void OutcomeCache::bindStore(CampaignStore* store, std::uint64_t cacheKey) {
 std::size_t OutcomeCache::warmFrom(const CampaignStore& store,
                                    std::uint64_t cacheKey) {
   std::size_t loaded = 0;
-  store.forEachOutcome(cacheKey, [&](const CampaignStore::OutcomeRecord& rec) {
-    std::lock_guard lock(mutex_);
+  const std::vector<CampaignStore::OutcomeRecord> records =
+      store.outcomes(cacheKey);
+  std::lock_guard lock(mutex_);
+  for (const CampaignStore::OutcomeRecord& rec : records) {
     if (entries_
             .emplace(std::make_pair(rec.boundary, rec.hash),
                      Entry{rec.outcome, rec.trap, rec.instructions})
             .second) {
       ++loaded;
     }
-  });
+  }
   return loaded;
 }
 

@@ -1,7 +1,6 @@
 #include "fi/supervisor.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -35,36 +34,33 @@ enum WorkerExit : int {
   kExitCapReached = 6,  ///< maxShardsPerWorker recycle: respawn, no penalty
 };
 
-/// The pid prefix of a "<pid>:<hex>" worker id (the fleet's id format);
-/// nullopt for foreign formats.
-std::optional<std::uint64_t> workerPidOf(const std::string& worker) {
-  std::uint64_t pid = 0;
-  std::size_t i = 0;
-  for (; i < worker.size() && worker[i] >= '0' && worker[i] <= '9'; ++i) {
-    pid = pid * 10 + static_cast<std::uint64_t>(worker[i] - '0');
-  }
-  if (i == 0 || i >= worker.size() || worker[i] != ':') return std::nullopt;
-  return pid;
-}
-
 }  // namespace
 
 FleetSupervisor::FleetSupervisor(std::string storePath,
-                                 FleetSupervisorConfig config)
-    : storePath_(std::move(storePath)), config_(std::move(config)) {}
+                                 LocalFleetOptions options)
+    : storePath_(std::move(storePath)), options_(std::move(options)) {}
 
 #if !defined(_WIN32)
 
 namespace {
 
+/// Fork one worker incarnation. `killAfterClaims` nonzero arms the
+/// killFirstWorkerAfterClaims chaos hook in this incarnation only.
 pid_t spawnWorker(const std::string& storePath,
-                  const FleetSupervisorConfig& config) {
+                  const LocalFleetOptions& options,
+                  std::size_t killAfterClaims) {
   const pid_t pid = ::fork();
   if (pid != 0) return pid;  // parent (or fork failure, pid < 0)
   int exitCode = kExitError;
   try {
-    FleetWorker worker(storePath, {}, config.fleet);
-    switch (worker.run(config.maxShardsPerWorker)) {
+    FleetConfig config = options.config;
+    if (killAfterClaims != 0) {
+      config.onClaim = [killAfterClaims](std::size_t claims) {
+        if (claims >= killAfterClaims) ::raise(SIGKILL);
+      };
+    }
+    FleetWorker worker(storePath, {}, std::move(config));
+    switch (worker.run(options.maxShardsPerWorker)) {
       case FleetWorker::Step::Done: exitCode = kExitDone; break;
       case FleetWorker::Step::Stalled: exitCode = kExitStalled; break;
       case FleetWorker::Step::Quarantined:
@@ -88,16 +84,28 @@ FleetSupervisor::Report FleetSupervisor::run() {
   struct Slot {
     pid_t pid = -1;           ///< live child, or -1
     bool finished = false;    ///< reached a terminal exit
+    bool done = false;        ///< ... and that exit was Done
     std::size_t restarts = 0;
     std::uint64_t respawnAtMs = 0;  ///< backoff gate for the next spawn
   };
-  std::vector<Slot> slots(std::max<std::size_t>(1, config_.workers));
+  std::vector<Slot> slots(std::max<std::size_t>(1, options_.workers));
   // (key, first, count) → mid-lease deaths observed; the poison detector.
   std::map<std::tuple<std::uint64_t, std::size_t, std::size_t>, std::uint64_t>
       crashCounts;
   std::unordered_set<pid_t> chaosVictims;  ///< shot by us: never attributed
-  CampaignStore store(storePath_, CampaignStore::WriteMode::Atomic);
-  store.load();
+  std::size_t killAfterClaims = options_.killFirstWorkerAfterClaims;
+  // Read on demand only: a fleet whose workers all exit Done without a
+  // crash never parses the store here.
+  std::optional<CampaignStore> opened;
+  auto readStore = [&]() -> CampaignStore& {
+    if (opened) {
+      opened->refresh();
+    } else {
+      opened.emplace(storePath_, CampaignStore::WriteMode::Atomic);
+      opened->load();
+    }
+    return *opened;
+  };
   util::SplitMix64 rng(util::hashCombine(util::wallClockMs(),
                                          util::currentPid()));
   std::uint64_t lastChaosMs = util::wallClockMs();
@@ -106,7 +114,7 @@ FleetSupervisor::Report FleetSupervisor::run() {
   // live leases naming its pid with no shard record are work it died inside.
   // Fresh pids per incarnation make the attribution exact.
   auto attributeCrash = [&](pid_t pid) {
-    store.refresh();
+    CampaignStore& store = readStore();
     struct Held {
       std::uint64_t key = 0;
       CampaignStore::LeaseRecord lease;
@@ -114,13 +122,8 @@ FleetSupervisor::Report FleetSupervisor::run() {
     };
     std::vector<Held> held;
     for (const CampaignStore::CellRecord& cell : store.cells()) {
-      std::vector<CampaignStore::LeaseRecord> leases;
-      store.forEachLease(cell.key,
-                         [&](const CampaignStore::LeaseRecord& l) {
-                           leases.push_back(l);
-                         });
-      for (CampaignStore::LeaseRecord& l : leases) {
-        const std::optional<std::uint64_t> leasePid = workerPidOf(l.worker);
+      for (CampaignStore::LeaseRecord& l : store.leases(cell.key)) {
+        const std::optional<std::uint64_t> leasePid = workerPid(l.worker);
         if (!leasePid || *leasePid != static_cast<std::uint64_t>(pid)) {
           continue;
         }
@@ -133,7 +136,7 @@ FleetSupervisor::Report FleetSupervisor::run() {
     for (const Held& h : held) {
       const std::uint64_t crashes =
           ++crashCounts[{h.key, h.lease.first, h.lease.count}];
-      if (crashes < config_.poisonRetries) continue;
+      if (crashes < options_.poisonRetries) continue;
       CampaignStore::QuarantineRecord q;
       q.first = h.lease.first;
       q.count = h.lease.count;
@@ -163,13 +166,16 @@ FleetSupervisor::Report FleetSupervisor::run() {
         // Between incarnations: spawn once the backoff gate opens.
         anyPending = true;
         if (nowMs < slot.respawnAtMs) continue;
-        slot.pid = spawnWorker(storePath_, config_);
+        const bool armed = &slot == &slots.front();
+        slot.pid = spawnWorker(storePath_, options_,
+                               armed ? killAfterClaims : 0);
         if (slot.pid < 0) {
           // Fork pressure: retry later rather than losing the slot.
           slot.pid = -1;
-          slot.respawnAtMs = nowMs + config_.backoffCapMs;
+          slot.respawnAtMs = nowMs + options_.backoffCapMs;
           continue;
         }
+        if (armed) killAfterClaims = 0;  // first incarnation only
         ++report.spawned;
         anyLive = true;
         continue;
@@ -197,6 +203,7 @@ FleetSupervisor::Report FleetSupervisor::run() {
         if (code == kExitDone || code == kExitStalled ||
             code == kExitQuarantined) {
           slot.finished = true;
+          slot.done = code == kExitDone;
           continue;
         }
         // Error exit: restart with backoff like a crash, but nothing to
@@ -210,7 +217,7 @@ FleetSupervisor::Report FleetSupervisor::run() {
           attributeCrash(pid);
         }
       }
-      if (slot.restarts >= config_.maxRestartsPerWorker) {
+      if (slot.restarts >= options_.maxRestartsPerWorker) {
         std::fprintf(stderr,
                      "fleet supervisor: worker slot exhausted %zu restarts; "
                      "giving it up\n",
@@ -225,18 +232,18 @@ FleetSupervisor::Report FleetSupervisor::run() {
       const std::uint64_t shift =
           std::min<std::size_t>(slot.restarts, 20);
       const std::uint64_t backoff =
-          std::min(config_.backoffCapMs,
-                   config_.backoffBaseMs << shift) +
-          (config_.backoffBaseMs != 0
-               ? rng.next() % config_.backoffBaseMs
+          std::min(options_.backoffCapMs,
+                   options_.backoffBaseMs << shift) +
+          (options_.backoffBaseMs != 0
+               ? rng.next() % options_.backoffBaseMs
                : 0);
       slot.respawnAtMs = nowMs + backoff;
       anyPending = true;
     }
     if (!anyLive && !anyPending) break;
     // Chaos monkey: shoot a random live worker on the timer.
-    if (config_.chaosKillMs != 0 &&
-        nowMs - lastChaosMs >= config_.chaosKillMs) {
+    if (options_.chaosKillMs != 0 &&
+        nowMs - lastChaosMs >= options_.chaosKillMs) {
       std::vector<pid_t> live;
       for (const Slot& slot : slots) {
         if (slot.pid > 0) live.push_back(slot.pid);
@@ -251,18 +258,21 @@ FleetSupervisor::Report FleetSupervisor::run() {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 
-  // Final accounting against the store: converged means no shard is left
-  // that a healthy worker could still run — everything is recorded or
-  // carries a quarantine verdict.
-  store.refresh();
+  // Converged means no shard is left that a healthy worker could still
+  // run — everything is recorded or carries a quarantine verdict. A worker
+  // exits Done only after seeing every shard recorded under the store lock,
+  // and records never leave the store: with every slot Done and no crash
+  // there is nothing to quarantine and nothing left to check.
   report.converged = true;
+  if (report.crashes == 0 &&
+      std::all_of(slots.begin(), slots.end(),
+                  [](const Slot& slot) { return slot.done; })) {
+    return report;
+  }
+  CampaignStore& store = readStore();
   for (const CampaignStore::CellRecord& cell : store.cells()) {
-    std::vector<CampaignStore::QuarantineRecord> quarantines;
-    store.forEachQuarantine(cell.key,
-                            [&](const CampaignStore::QuarantineRecord& q) {
-                              quarantines.push_back(q);
-                            });
-    for (const CampaignStore::QuarantineRecord& q : quarantines) {
+    for (const CampaignStore::QuarantineRecord& q :
+         store.quarantines(cell.key)) {
       if (store.findShard(cell.key, q.first, q.count) != nullptr) {
         continue;  // finished after all (a --force pass got it)
       }
@@ -287,24 +297,20 @@ FleetSupervisor::Report FleetSupervisor::run() { return {}; }
 
 #endif
 
-std::vector<CampaignResult> runSupervisedFleet(
-    const CampaignSuite& suite, SuiteConfig config,
-    const std::string& storePath, const FleetSupervisorConfig& options,
-    FleetSupervisor::Report* report) {
-#if !defined(_WIN32)
+std::vector<CampaignResult> runFleet(const CampaignSuite& suite,
+                                     SuiteConfig config,
+                                     const std::string& storePath,
+                                     const LocalFleetOptions& options,
+                                     FleetSupervisor::Report* report) {
   // Respawned incarnations fork from this process too, so every one of
   // them inherits the suite's workloads through the installed resolver.
-  FleetSupervisorConfig supervised = options;
-  if (submitSuite(suite, config, storePath, supervised.fleet) != 0 &&
-      options.workers != 0) {
-    FleetSupervisor supervisor(storePath, std::move(supervised));
-    FleetSupervisor::Report r = supervisor.run();
-    if (report != nullptr) *report = std::move(r);
+  LocalFleetOptions fleet = options;
+  FleetSupervisor::Report r;
+  if (submitSuite(suite, config, storePath, fleet.config) != 0 &&
+      fleet.workers != 0) {
+    r = FleetSupervisor(storePath, std::move(fleet)).run();
   }
-#else
-  (void)options;
-  if (report != nullptr) *report = {};
-#endif
+  if (report != nullptr) *report = std::move(r);
   // The final pass doubles as the built-in --force pass for quarantined
   // shards.
   return finishSuite(suite, config, storePath);

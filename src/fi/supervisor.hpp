@@ -1,4 +1,5 @@
-// Fleet self-healing: a supervisor that keeps a local worker fleet alive.
+// The local fleet driver: runFleet() and the supervisor that keeps its
+// worker processes alive.
 //
 // FleetWorker processes fail for three very different reasons, and the
 // supervisor is what tells them apart:
@@ -16,7 +17,7 @@
 //     `quarantine` record, which every healthy worker skips — the fleet
 //     converges on everything else and reports the quarantined ranges at
 //     the end. A `--force` pass (FleetConfig::ignoreQuarantine, or the
-//     in-process remainder pass of runSupervisedFleet) finishes them.
+//     in-process remainder pass of runFleet) finishes them.
 //   planned exit — Done / Stalled / Quarantined / shard-cap recycling, all
 //     distinguished by exit code; only the cap triggers a respawn.
 //
@@ -27,8 +28,8 @@
 //
 // Determinism contract unchanged: supervision is pure scheduling. Any mix
 // of crashes, restarts, and quarantines yields the same shard records, and
-// runSupervisedFleet's final in-process pass makes its results bit-identical
-// to a solo CampaignSuite::run.
+// runFleet's final in-process pass makes its results bit-identical to a
+// solo CampaignSuite::run.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +40,10 @@
 
 namespace onebit::fi {
 
-/// Knobs for one supervised local fleet.
-struct FleetSupervisorConfig {
+/// Knobs for one local fleet of forked FleetWorker processes.
+struct LocalFleetOptions {
   std::size_t workers = 2;  ///< worker processes to keep alive
+  FleetConfig config;       ///< forwarded to every worker incarnation
   /// Mid-lease deaths on one shard range before it is quarantined.
   std::size_t poisonRetries = 3;
   /// Restart backoff: min(backoffCapMs, backoffBaseMs << restarts) plus
@@ -49,16 +51,21 @@ struct FleetSupervisorConfig {
   std::uint64_t backoffBaseMs = 50;
   std::uint64_t backoffCapMs = 2'000;
   /// Hard stop: a worker slot that crashed this many times stops being
-  /// respawned (quarantine should normally end the loop much earlier).
+  /// respawned (quarantine should normally end the loop much earlier). 0
+  /// never respawns a crashed worker.
   std::size_t maxRestartsPerWorker = 100;
-  /// Chaos hook: when nonzero, SIGKILL one random live worker roughly this
-  /// often (wall clock). Chaos victims are respawned immediately and never
-  /// count toward poison detection.
-  std::uint64_t chaosKillMs = 0;
-  /// Per-worker shard cap; a worker exiting at the cap is respawned (the
-  /// worker-side checkpoint recycle), not counted as a restart.
+  /// Per-worker shard cap forwarded to FleetWorker::run(); a worker exiting
+  /// at the cap is respawned (the worker-side checkpoint recycle), not
+  /// counted as a restart.
   std::size_t maxShardsPerWorker = 0;
-  FleetConfig fleet;  ///< forwarded to every worker incarnation
+  /// Chaos hook: when nonzero, SIGKILL one random live worker roughly this
+  /// often (wall clock). Chaos victims are respawned and never count toward
+  /// poison detection.
+  std::uint64_t chaosKillMs = 0;
+  /// Chaos hook: when nonzero, the first incarnation of the first worker
+  /// kills itself (SIGKILL, no cleanup) right after its Nth successful
+  /// claim — the canonical re-lease test. Its respawn is not killed again.
+  std::size_t killFirstWorkerAfterClaims = 0;
 };
 
 /// One quarantined shard range, for end-of-run reporting.
@@ -86,30 +93,39 @@ class FleetSupervisor {
     bool converged = false;
   };
 
-  FleetSupervisor(std::string storePath, FleetSupervisorConfig config);
+  FleetSupervisor(std::string storePath, LocalFleetOptions options);
 
   /// Run the fleet to convergence: fork workers, reap/respawn/quarantine
-  /// until every slot reached a terminal exit, then report. POSIX-only; on
-  /// other platforms returns a default Report (converged = false) without
-  /// spawning anything.
+  /// until every slot reached a terminal exit, then report. The store is
+  /// read only to attribute a crash or when some worker ended other than
+  /// Done; a crash-free fleet of Done workers converged by construction.
+  /// POSIX-only; on other platforms returns a default Report
+  /// (converged = false) without spawning anything.
   Report run();
 
  private:
   std::string storePath_;
-  FleetSupervisorConfig config_;
+  LocalFleetOptions options_;
 };
 
-/// The supervised analog of runFleet(): submit `suite`'s cells to the store,
-/// run a FleetSupervisor fleet over it, then finish ANY remainder — cells
+/// Run `suite`'s cells as a local fleet over the store at `storePath`:
+/// submit every expressible cell, run a FleetSupervisor fleet of
+/// `options.workers` processes over it, then finish ANY remainder — cells
 /// makeCell() refused, shards lost to crashes, and quarantined shards (the
 /// built-in `--force` pass) — with a resume-bound CampaignSuite that also
 /// performs the merge. Results are bit-identical to `suite.run()` for any
-/// crash/chaos/poison pattern, by the suite's resume contract. The report
-/// (when non-null) receives the supervisor's Report so callers can surface
-/// restarts and quarantined ranges.
-std::vector<CampaignResult> runSupervisedFleet(
-    const CampaignSuite& suite, SuiteConfig config,
-    const std::string& storePath, const FleetSupervisorConfig& options = {},
-    FleetSupervisor::Report* report = nullptr);
+/// worker count and crash/chaos/poison pattern, by the suite's resume
+/// contract. Unless `options.config` names a resolver, the workers (and
+/// their respawns) run the suite's own workloads (see submitSuite).
+/// `report`, when non-null, receives the supervisor's Report.
+///
+/// `config` must be the SuiteConfig `suite` was built with (it fixes the
+/// shard geometry); its record/resume stores are ignored in favor of the
+/// fleet store.
+std::vector<CampaignResult> runFleet(const CampaignSuite& suite,
+                                     SuiteConfig config,
+                                     const std::string& storePath,
+                                     const LocalFleetOptions& options = {},
+                                     FleetSupervisor::Report* report = nullptr);
 
 }  // namespace onebit::fi

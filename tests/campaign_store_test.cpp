@@ -556,10 +556,14 @@ TEST_F(CampaignStoreFixture, CellAndLeaseRecordsRoundTripThroughDisk) {
   ASSERT_TRUE(other.has_value());
   EXPECT_EQ(other->epoch, 2u);
   EXPECT_FALSE(store.latestLease(0xfeed, 5, 32).has_value());
-  std::size_t visited = 0;
-  store.forEachLease(0xfeed,
-                     [&](const CampaignStore::LeaseRecord&) { ++visited; });
-  EXPECT_EQ(visited, 2u);  // one live lease per leased range
+  const auto& leases = store.leases(0xfeed);
+  ASSERT_EQ(leases.size(), 2u);  // one live lease per leased range
+  EXPECT_TRUE(store.leases(0xdead).empty());
+  // The accessor returns a copy: a later append leaves it untouched.
+  const std::vector<CampaignStore::LeaseRecord> before = leases;
+  ASSERT_TRUE(store.appendLease(0xfeed, {96, 32, "1234:3f2a", 2, 5000}));
+  EXPECT_EQ(store.latestLease(0xfeed, 96, 32)->epoch, 2u);
+  EXPECT_EQ(leases, before);
 }
 
 TEST_F(CampaignStoreFixture, StaleEpochOrderedLateNeverWinsTheLease) {
@@ -795,10 +799,7 @@ TEST_F(CampaignStoreFixture, QuarantineRecordsRoundTripNewestWins) {
   EXPECT_EQ(found->reason, q.reason);
   EXPECT_FALSE(store.findQuarantine(0xfeed, 0, 32).has_value());
   EXPECT_FALSE(store.findQuarantine(0xdead, 96, 32).has_value());
-  std::size_t visited = 0;
-  store.forEachQuarantine(
-      0xfeed, [&](const CampaignStore::QuarantineRecord&) { ++visited; });
-  EXPECT_EQ(visited, 1u);  // one live verdict per range
+  EXPECT_EQ(store.quarantines(0xfeed).size(), 1u);  // one verdict per range
 }
 
 TEST_F(CampaignStoreFixture, CompactKeepsLiveQuarantinesDropsSuperseded) {

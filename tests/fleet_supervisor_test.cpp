@@ -2,9 +2,9 @@
 // it rides on): the adaptive-deadline formula, quarantine skip/force
 // semantics at the worker level, cost stamping in completion leases,
 // adaptive deadlines driven by observed cost on a fake clock, and full
-// supervised runs — clean, resolver-free (workers and their respawns
-// inherit the submitter's workloads), poisoned (quarantines exactly the
-// poisoned shard), and chaos-killed — all bit-identical to solo.
+// runFleet runs — clean, resolver-free (workers and their respawns inherit
+// the submitter's workloads), poisoned (quarantines exactly the poisoned
+// shard), and chaos-killed — all bit-identical to solo.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -304,19 +304,19 @@ TEST_F(SupervisorFixture, QuarantinedShardIsSkippedUntilForced) {
   EXPECT_EQ(result->counts, solo(spec).counts);
 }
 
-// ------------------------------------------------------- supervised fleets
+// ---------------------------------------------------------- runFleet runs
 
 TEST_F(SupervisorFixture, SupervisedFleetMatchesSolo) {
   const std::vector<CellSpec> cells = mixedCells();
   SuiteConfig config;
   config.shardSize = 16;
   const CampaignSuite suite = makeSuite(cells, config);
-  FleetSupervisorConfig options;
+  LocalFleetOptions options;
   options.workers = 2;
-  options.fleet = fleetConfig();
+  options.config = fleetConfig();
   FleetSupervisor::Report report;
   const std::vector<CampaignResult> results =
-      runSupervisedFleet(suite, config, path_, options, &report);
+      runFleet(suite, config, path_, options, &report);
   expectMatchesSolo(results, cells);
   EXPECT_TRUE(report.converged);
   EXPECT_GE(report.spawned, options.workers);
@@ -335,16 +335,16 @@ TEST_F(SupervisorFixture, WorkersWithoutAResolverInheritTheSuiteOnRespawn) {
   config.shardSize = 16;
   for (const bool crash : {false, true}) {
     cleanup();
-    FleetSupervisorConfig options;
+    LocalFleetOptions options;
     options.workers = 2;
     options.backoffBaseMs = 1;
     options.backoffCapMs = 20;
-    options.fleet.pollMs = 2;
-    options.fleet.leaseMs = 2'000;
+    options.config.pollMs = 2;
+    options.config.leaseMs = 2'000;
     if (crash) {
       // One crash across all incarnations: the marker file outlives the
       // worker that creates it.
-      options.fleet.onClaim = [marker = path_ + ".crashed"](std::size_t) {
+      options.config.onClaim = [marker = path_ + ".crashed"](std::size_t) {
         if (std::FILE* f = std::fopen(marker.c_str(), "wx")) {
           std::fclose(f);
           ::raise(SIGKILL);
@@ -352,7 +352,7 @@ TEST_F(SupervisorFixture, WorkersWithoutAResolverInheritTheSuiteOnRespawn) {
       };
     }
     FleetSupervisor::Report report;
-    const std::vector<CampaignResult> results = runSupervisedFleet(
+    const std::vector<CampaignResult> results = runFleet(
         makeSuite(cells, config), config, path_, options, &report);
     expectMatchesSolo(results, cells);
     EXPECT_TRUE(report.converged) << "crash=" << crash;
@@ -380,23 +380,23 @@ TEST_F(SupervisorFixture, PoisonShardIsQuarantinedAndResultsStillMatchSolo) {
   // One shard of the beta single-bit cell reliably SIGKILLs whichever
   // worker claims it. The supervisor must quarantine exactly that shard,
   // the fleet must converge on everything else, and the built-in force
-  // pass of runSupervisedFleet must still deliver solo-identical results.
+  // pass of runFleet must still deliver solo-identical results.
   const std::vector<CellSpec> cells = mixedCells();
   SuiteConfig config;
   config.shardSize = 16;
   const CampaignSuite suite = makeSuite(cells, config);
-  FleetSupervisorConfig options;
+  LocalFleetOptions options;
   options.workers = 2;
   options.poisonRetries = 2;
   options.backoffBaseMs = 1;
   options.backoffCapMs = 20;
-  options.fleet = fleetConfig();
-  options.fleet.leaseMs = 2'000;
-  options.fleet.poisonWorkload = "alpha";
-  options.fleet.poisonShard = 1;  // shard [16, +16) of the 96-exp cell
+  options.config = fleetConfig();
+  options.config.leaseMs = 2'000;
+  options.config.poisonWorkload = "alpha";
+  options.config.poisonShard = 1;  // shard [16, +16) of the 96-exp cell
   FleetSupervisor::Report report;
   const std::vector<CampaignResult> results =
-      runSupervisedFleet(suite, config, path_, options, &report);
+      runFleet(suite, config, path_, options, &report);
   expectMatchesSolo(results, cells);
 
   EXPECT_GE(report.crashes, options.poisonRetries);
@@ -413,8 +413,6 @@ TEST_F(SupervisorFixture, PoisonShardIsQuarantinedAndResultsStillMatchSolo) {
   // shard anyway (quarantine superseded, not erased).
   CampaignStore store(path_, CampaignStore::WriteMode::Atomic);
   store.load();
-  // Snapshot first: the store's forEach contract forbids re-entering it
-  // from inside the callback.
   struct Verdict {
     std::uint64_t key;
     std::string workload;
@@ -422,10 +420,10 @@ TEST_F(SupervisorFixture, PoisonShardIsQuarantinedAndResultsStillMatchSolo) {
   };
   std::vector<Verdict> verdicts;
   for (const CampaignStore::CellRecord& cell : store.cells()) {
-    store.forEachQuarantine(cell.key,
-                            [&](const CampaignStore::QuarantineRecord& q) {
-                              verdicts.push_back({cell.key, cell.workload, q});
-                            });
+    for (const CampaignStore::QuarantineRecord& q :
+         store.quarantines(cell.key)) {
+      verdicts.push_back({cell.key, cell.workload, q});
+    }
   }
   ASSERT_EQ(verdicts.size(), 1u);
   EXPECT_EQ(verdicts[0].workload, "alpha");
@@ -439,17 +437,17 @@ TEST_F(SupervisorFixture, ChaosKillsAreNeverAttributedAndTheFleetConverges) {
   SuiteConfig config;
   config.shardSize = 16;
   const CampaignSuite suite = makeSuite(cells, config);
-  FleetSupervisorConfig options;
+  LocalFleetOptions options;
   options.workers = 2;
   options.poisonRetries = 1;  // hair trigger: any attributed crash quarantines
   options.backoffBaseMs = 1;
   options.backoffCapMs = 20;
   options.chaosKillMs = 40;
-  options.fleet = fleetConfig();
-  options.fleet.leaseMs = 2'000;
+  options.config = fleetConfig();
+  options.config.leaseMs = 2'000;
   FleetSupervisor::Report report;
   const std::vector<CampaignResult> results =
-      runSupervisedFleet(suite, config, path_, options, &report);
+      runFleet(suite, config, path_, options, &report);
   expectMatchesSolo(results, cells);
   EXPECT_TRUE(report.converged);
   // Even with poisonRetries=1, chaos victims must never be attributed to

@@ -1,12 +1,12 @@
 // Campaign-fleet tests (fi/fleet.hpp): fleet-vs-solo bit-identity across
 // worker counts, crash-after-claim → lease expiry → epoch-bumped re-lease
 // (on a fake clock, so expiry is deterministic), the same-host dead-pid
-// fast path, SIGKILL-a-worker fault tolerance through runFleet, shard-record
-// byte identity between fleet and solo stores (with and without pruning),
-// stalled-worker semantics for unresolvable and key-mismatched cells,
-// workers inheriting the submitter's workloads when no resolver is set, the
-// registry resolver of standalone workers, and compaction of a finished
-// fleet store.
+// fast path, SIGKILL-a-worker fault tolerance and shard-cap worker recycling
+// through runFleet, shard-record byte identity between fleet and solo
+// stores (with and without pruning), stalled-worker semantics for
+// unresolvable and key-mismatched cells, workers inheriting the submitter's
+// workloads when no resolver is set, the registry resolver of standalone
+// workers, and compaction of a finished fleet store.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -25,6 +25,7 @@
 #include "fi/campaign_store.hpp"
 #include "fi/fleet.hpp"
 #include "fi/suite.hpp"
+#include "fi/supervisor.hpp"
 #include "lang/compile.hpp"
 #include "progs/registry.hpp"
 #include "util/file_lock.hpp"
@@ -243,8 +244,14 @@ TEST_F(FleetFixture, FleetMatchesSoloForOneTwoAndFourWorkers) {
     LocalFleetOptions options;
     options.workers = workers;
     options.config = fleetConfig();
+    FleetSupervisor::Report report;
     const std::vector<CampaignResult> results =
-        runFleet(suite, config, path_, options);
+        runFleet(suite, config, path_, options, &report);
+    // A clean run: one incarnation per worker, every one ending Done, so
+    // the report is settled without reading the store.
+    EXPECT_EQ(report.spawned, workers);
+    EXPECT_EQ(report.restarts, 0u);
+    EXPECT_TRUE(report.converged);
     ASSERT_EQ(results.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
       EXPECT_EQ(results[i].counts, refs[i].counts)
@@ -279,8 +286,15 @@ TEST_F(FleetFixture, KilledWorkerIsReLeasedAndResultsUnchanged) {
   options.config = fleetConfig();
   options.config.leaseMs = 1000;
   options.killFirstWorkerAfterClaims = 1;
+  FleetSupervisor::Report report;
   const std::vector<CampaignResult> results =
-      runFleet(suite, config, path_, options);
+      runFleet(suite, config, path_, options, &report);
+  // One crash, one respawn that is not killed again, and one death is no
+  // poison verdict.
+  EXPECT_EQ(report.crashes, 1u);
+  EXPECT_EQ(report.restarts, 1u);
+  EXPECT_EQ(report.quarantinedShards, 0u);
+  EXPECT_TRUE(report.converged);
   ASSERT_EQ(results.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CampaignResult ref = solo(cells[i]);
@@ -295,11 +309,39 @@ TEST_F(FleetFixture, KilledWorkerIsReLeasedAndResultsUnchanged) {
   store.load();
   std::uint64_t maxEpoch = 0;
   for (const CampaignStore::CellRecord& cell : store.cells()) {
-    store.forEachLease(cell.key, [&](const CampaignStore::LeaseRecord& l) {
+    for (const CampaignStore::LeaseRecord& l : store.leases(cell.key)) {
       maxEpoch = std::max(maxEpoch, l.epoch);
-    });
+    }
   }
   EXPECT_GE(maxEpoch, 2u);
+}
+
+TEST_F(FleetFixture, ShardCapRecyclesWorkersWithoutRestarts) {
+  // maxShardsPerWorker = 1: every incarnation exits after one shard and is
+  // respawned as a planned recycle, not a restart, until the fleet is done.
+  const std::vector<CellSpec> cells = mixedCells();
+  SuiteConfig config;
+  config.shardSize = 16;
+  const CampaignSuite suite = makeSuite(cells, config);
+  LocalFleetOptions options;
+  options.workers = 2;
+  options.config = fleetConfig();
+  options.maxShardsPerWorker = 1;
+  FleetSupervisor::Report report;
+  const std::vector<CampaignResult> results =
+      runFleet(suite, config, path_, options, &report);
+  EXPECT_GT(report.spawned, options.workers);
+  EXPECT_EQ(report.restarts, 0u);
+  EXPECT_TRUE(report.converged);
+  expectWorkersRanEveryShard(path_);
+  const std::vector<CampaignResult> refs = makeSuite(cells, config).run();
+  ASSERT_EQ(results.size(), refs.size());
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    EXPECT_EQ(results[i].counts, refs[i].counts) << "cell " << i;
+    EXPECT_EQ(results[i].activationHist, refs[i].activationHist)
+        << "cell " << i;
+    EXPECT_TRUE(results[i].complete()) << "cell " << i;
+  }
 }
 
 TEST_F(FleetFixture, ExpiredLeaseIsReclaimedAtTheNextEpoch) {
