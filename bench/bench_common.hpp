@@ -97,11 +97,15 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "analytics/figures.hpp"
 #include "analytics/knobs.hpp"
 #include "fi/campaign.hpp"
 #include "fi/campaign_store.hpp"
@@ -448,6 +452,75 @@ inline fi::CampaignResult campaign(const fi::Workload& w,
   SweepBuilder sweep;
   const std::size_t idx = sweep.add(workloadName, w, spec, n, seedSalt);
   return sweep[idx];
+}
+
+/// Run paper figure `id` (analytics::figureIds()) and print it. The
+/// renderer in analytics/figures.cpp is the figure's one definition, and
+/// also its execution plan: each pass renders against the results collected
+/// so far, queues every cell the render asked for and lacked on one
+/// SweepBuilder (verbatim model, seed, and experiments, in request order),
+/// and runs that sweep; the first render that asks for nothing new is
+/// printed. Fig. 4 takes two sweeps: the whole grid, then the re-validation
+/// of each grid's argmax. Under ONEBIT_MAX_SHARDS the printed text is what
+/// `report --figure` renders for the store: partial cells are marked, and
+/// cells that depend on them are never run.
+inline int runFigure(std::string_view id) {
+  const std::vector<NamedWorkload> workloads = loadWorkloads();
+  std::map<std::string, const fi::Workload*> byName;
+  for (const auto& [name, w] : workloads) byName[name] = &w;
+
+  // A cell's identity: (workload, spec label, flip width, seed,
+  // experiments).
+  using CellKey = std::tuple<std::string, std::string, unsigned,
+                             std::uint64_t, std::size_t>;
+  const auto keyOf = [](const std::string& workload,
+                        const fi::CampaignConfig& c) {
+    return CellKey{workload, c.model.label(), c.model.flipWidth, c.seed,
+                   c.experiments};
+  };
+  std::map<CellKey, analytics::CellResolution> results;
+  for (;;) {
+    std::vector<std::pair<std::string, fi::CampaignConfig>> lacking;
+    const std::optional<analytics::FigureOutput> fig = analytics::renderFigure(
+        id, [&](const std::string& workload, const fi::FaultModel& model,
+                std::uint64_t seed, std::size_t experiments) {
+          fi::CampaignConfig config;
+          config.model = model;
+          config.seed = seed;
+          config.experiments = experiments;
+          analytics::CellResolution missing;
+          missing.expected = experiments;
+          const auto [it, fresh] =
+              results.try_emplace(keyOf(workload, config), missing);
+          if (fresh) lacking.emplace_back(workload, config);
+          return it->second;
+        });
+    if (!fig) {
+      std::fprintf(stderr, "unknown figure '%.*s'\n",
+                   static_cast<int>(id.size()), id.data());
+      return 1;
+    }
+    if (lacking.empty()) {
+      std::fputs(fig->text.c_str(), stdout);
+      return 0;
+    }
+    SweepBuilder sweep;
+    for (const auto& [workload, config] : lacking) {
+      sweep.addConfig(workload, *byName.at(workload), config);
+    }
+    const std::vector<fi::CampaignResult>& ran = sweep.run();
+    for (std::size_t i = 0; i < lacking.size(); ++i) {
+      const fi::CampaignResult& r = ran[i];
+      analytics::CellResolution& cell =
+          results[keyOf(lacking[i].first, lacking[i].second)];
+      cell.state = r.complete() ? analytics::CellResolution::State::Complete
+                                : analytics::CellResolution::State::Partial;
+      cell.counts = r.counts;
+      cell.hist = r.activationHist;
+      cell.recorded = r.completedExperiments;
+      cell.expected = r.config.experiments;
+    }
+  }
 }
 
 /// Print a table as aligned text, or CSV when ONEBIT_CSV=1 (for plotting).

@@ -1,67 +1,6 @@
 // Fig. 1 (a, b): outcome classification of single bit-flip campaigns for
-// both injection techniques, per program.
-//
-// All 2×15 campaigns are declared on one SweepBuilder and run as a single
-// fi::CampaignSuite: shards from every campaign interleave on one shared
-// pool, so the tail shards of one program's campaign overlap with the next
-// program's work instead of idling behind a per-campaign barrier.
+// both injection techniques, per program. The figure is defined in
+// src/analytics/figures.cpp; bench::runFigure runs the cells it asks for.
 #include "bench_common.hpp"
-#include "util/table.hpp"
 
-int main() {
-  using namespace onebit;
-  const std::size_t n = bench::experimentsPerCampaign(400);
-  bench::printHeaderNote("Fig. 1: single bit-flip outcome classification", n);
-
-  const auto workloads = bench::loadWorkloads();
-
-  struct Section {
-    fi::FaultDomain tech;
-    std::vector<std::size_t> cells;  // one per workload, sweep indices
-  };
-  bench::SweepBuilder sweep;
-  std::vector<Section> sections;
-  for (const fi::FaultDomain tech :
-       {fi::FaultDomain::RegisterRead, fi::FaultDomain::RegisterWrite}) {
-    const fi::FaultModel spec = fi::FaultModel::singleBit(tech);
-    if (!bench::specSelected(spec)) continue;
-    Section section{tech, {}};
-    std::uint64_t salt = tech == fi::FaultDomain::RegisterRead ? 100 : 200;
-    for (const auto& [name, w] : workloads) {
-      section.cells.push_back(sweep.add(name, w, spec, n, salt++));
-    }
-    sections.push_back(std::move(section));
-  }
-  sweep.run();
-
-  for (const Section& section : sections) {
-    std::printf("--- (%c) %s ---\n",
-                section.tech == fi::FaultDomain::RegisterRead ? 'a' : 'b',
-                fi::domainName(section.tech).data());
-    util::TextTable table({"program", "Benign%", "Detection%", "SDC%",
-                           "SDC +/-", "hang", "no-output"});
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-      const fi::CampaignResult& r = sweep[section.cells[i]];
-      const auto benign = r.counts.proportion(stats::Outcome::Benign);
-      const auto sdc = r.sdc();
-      // "Detection" = Detected + Hang + NoOutput (§III-E).
-      const std::size_t detection = r.counts.count(stats::Outcome::Detected) +
-                                    r.counts.count(stats::Outcome::Hang) +
-                                    r.counts.count(stats::Outcome::NoOutput);
-      const auto det = stats::proportionCI(detection, r.counts.total());
-      table.addRow({workloads[i].name, util::fmtPercent(benign.fraction),
-                    util::fmtPercent(det.fraction),
-                    util::fmtPercent(sdc.fraction),
-                    util::fmtPercent(sdc.ciHalfWidth),
-                    std::to_string(r.counts.count(stats::Outcome::Hang)),
-                    std::to_string(r.counts.count(stats::Outcome::NoOutput))});
-    }
-    bench::emitTable(table);
-    std::printf("\n");
-  }
-  std::printf(
-      "Paper check (Fig. 1): inject-on-write SDC%% is higher than "
-      "inject-on-read overall;\nHang and NoOutput stay insignificant "
-      "(<~0.3%% in the paper).\n");
-  return 0;
-}
+int main() { return onebit::bench::runFigure("fig1"); }

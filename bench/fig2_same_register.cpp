@@ -1,81 +1,8 @@
 // Fig. 2 (a, b): SDC percentage when injecting 1..30 errors into the SAME
 // instruction/register (win-size = 0), per program and technique.
-//
-// The whole program × spec cross-product (2×15×11 campaigns by default) is
-// one SweepBuilder sweep: a single suite, one shared pool, no per-campaign
-// barriers. ONEBIT_SPECS drops columns the same way ONEBIT_PROGRAMS drops
-// rows.
+// ONEBIT_SPECS drops columns the same way ONEBIT_PROGRAMS drops rows. The
+// figure is defined in src/analytics/figures.cpp; bench::runFigure runs the
+// cells it asks for.
 #include "bench_common.hpp"
-#include "fi/grid.hpp"
-#include "util/table.hpp"
 
-int main() {
-  using namespace onebit;
-  const std::size_t n = bench::experimentsPerCampaign(200);
-  bench::printHeaderNote(
-      "Fig. 2: SDC% vs max-MBF, same register (win-size = 0)", n);
-
-  const auto workloads = bench::loadWorkloads();
-
-  struct Section {
-    fi::FaultDomain tech;
-    std::vector<fi::FaultModel> specs;        // table columns
-    std::vector<std::size_t> cells;          // workload-major × spec
-  };
-  bench::SweepBuilder sweep;
-  std::vector<Section> sections;
-  for (const fi::FaultDomain tech :
-       {fi::FaultDomain::RegisterRead, fi::FaultDomain::RegisterWrite}) {
-    const std::vector<fi::FaultModel> allSpecs = fi::sameRegisterCampaigns(tech);
-    std::vector<bool> selected;
-    Section section{tech, {}, {}};
-    for (const fi::FaultModel& spec : allSpecs) {
-      selected.push_back(bench::specSelected(spec));
-      if (selected.back()) section.specs.push_back(spec);
-    }
-    if (section.specs.empty()) continue;
-    std::uint64_t salt = tech == fi::FaultDomain::RegisterRead ? 1000 : 2000;
-    for (const auto& [name, w] : workloads) {
-      // Salt over the FULL spec axis so an ONEBIT_SPECS-filtered run keeps
-      // every surviving cell's seed (and store campaign key) identical to
-      // the unfiltered run's.
-      for (std::size_t j = 0; j < allSpecs.size(); ++j) {
-        if (!selected[j]) {
-          ++salt;
-          continue;
-        }
-        section.cells.push_back(sweep.add(name, w, allSpecs[j], n, salt++));
-      }
-    }
-    sections.push_back(std::move(section));
-  }
-  sweep.run();
-
-  for (const Section& section : sections) {
-    std::printf("--- (%c) %s ---\n",
-                section.tech == fi::FaultDomain::RegisterRead ? 'a' : 'b',
-                fi::domainName(section.tech).data());
-    std::vector<std::string> header = {"program"};
-    for (const fi::FaultModel& s : section.specs) {
-      header.push_back("m=" + std::to_string(s.pattern.count));
-    }
-    util::TextTable table(header);
-    std::size_t cell = 0;
-    for (const auto& [name, w] : workloads) {
-      std::vector<std::string> row = {name};
-      for (std::size_t s = 0; s < section.specs.size(); ++s) {
-        row.push_back(
-            util::fmtPercent(sweep[section.cells[cell++]].sdc().fraction));
-      }
-      table.addRow(std::move(row));
-    }
-    bench::emitTable(table);
-    std::printf("\n");
-  }
-  std::printf(
-      "Paper check (Fig. 2 / RQ2): for most programs the single bit-flip "
-      "column (m=1) is\npessimistic or within noise of every multi-bit "
-      "column; exceptions cluster on programs\nwith low detection rates "
-      "(basicmath, crc32 in the paper).\n");
-  return 0;
-}
+int main() { return onebit::bench::runFigure("fig2"); }

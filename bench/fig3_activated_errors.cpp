@@ -1,78 +1,7 @@
 // Fig. 3 (a, b): distribution of the number of ACTIVATED errors before a
 // crash, when intending to inject 30 (max-MBF = 30), aggregated over all
-// win-size values — the RQ1 analysis.
-//
-// Every activation campaign (2 techniques × 15 programs × 9 win-sizes) is
-// queued through pruning::activationCampaigns onto one SweepBuilder sweep;
-// the per-program buckets are folded from the suite results afterwards.
+// win-size values — the RQ1 analysis. The figure is defined in
+// src/analytics/figures.cpp; bench::runFigure runs the cells it asks for.
 #include "bench_common.hpp"
-#include "pruning/activation_study.hpp"
-#include "util/table.hpp"
 
-int main() {
-  using namespace onebit;
-  const std::size_t n = bench::experimentsPerCampaign(100);
-  bench::printHeaderNote(
-      "Fig. 3: activated errors before crash (max-MBF = 30)", n);
-
-  const auto workloads = bench::loadWorkloads();
-
-  struct Section {
-    fi::FaultDomain tech;
-    // cells[program] = suite indices of that program's win-size campaigns
-    std::vector<std::vector<std::size_t>> cells;
-  };
-  bench::SweepBuilder sweep;
-  std::vector<Section> sections;
-  for (const fi::FaultDomain tech :
-       {fi::FaultDomain::RegisterRead, fi::FaultDomain::RegisterWrite}) {
-    Section section{tech, {}};
-    std::uint64_t salt = tech == fi::FaultDomain::RegisterRead ? 3000 : 4000;
-    for (const auto& [name, w] : workloads) {
-      std::vector<std::size_t> programCells;
-      for (const fi::CampaignConfig& config : pruning::activationCampaigns(
-               tech, n, util::hashCombine(bench::masterSeed(), salt),
-               bench::flipWidth())) {
-        programCells.push_back(sweep.addConfig(name, w, config));
-      }
-      ++salt;
-      section.cells.push_back(std::move(programCells));
-    }
-    sections.push_back(std::move(section));
-  }
-  sweep.run();
-
-  for (const Section& section : sections) {
-    std::printf("--- (%c) %s ---\n",
-                section.tech == fi::FaultDomain::RegisterRead ? 'a' : 'b',
-                fi::domainName(section.tech).data());
-    util::TextTable table(
-        {"program", "crashes", "1-5 errors", "6-10 errors", ">10 errors"});
-    pruning::ActivationBuckets total;
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-      pruning::ActivationBuckets b;
-      for (const std::size_t cell : section.cells[i]) {
-        pruning::accumulateActivations(b, sweep[cell].activationHist);
-      }
-      total.upToFive += b.upToFive;
-      total.sixToTen += b.sixToTen;
-      total.moreThanTen += b.moreThanTen;
-      table.addRow({workloads[i].name, std::to_string(b.total()),
-                    util::fmtPercent(b.fracUpToFive()),
-                    util::fmtPercent(b.fracSixToTen()),
-                    util::fmtPercent(b.fracMoreThanTen())});
-    }
-    table.addRow({"== all ==", std::to_string(total.total()),
-                  util::fmtPercent(total.fracUpToFive()),
-                  util::fmtPercent(total.fracSixToTen()),
-                  util::fmtPercent(total.fracMoreThanTen())});
-    bench::emitTable(table);
-    std::printf("\n");
-  }
-  std::printf(
-      "Paper check (Fig. 3 / RQ1): crashes activate at most 5 errors in "
-      "~96%% (read) and ~78%%\n(write) of experiments; ~99%% (read) / ~92%% "
-      "(write) activate fewer than 10 — justifying\nmax-MBF <= 10 as the "
-      "practical bound (30 only probes the tail).\n");
-  return 0;
-}
+int main() { return onebit::bench::runFigure("fig3"); }

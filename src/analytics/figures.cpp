@@ -66,13 +66,13 @@ void emit(std::string& out, const util::TextTable& table) {
 
 /// Shared resolution bookkeeping for one figure rendering.
 struct Ctx {
-  const Dataset& ds;
+  const CellSource& source;
   FigureOutput out;
 
   CellResolution resolve(const std::string& workload,
                          const fi::FaultModel& model, std::uint64_t seed,
                          std::size_t experiments) {
-    CellResolution r = resolveCell(ds, workload, model, seed, experiments);
+    CellResolution r = source(workload, model, seed, experiments);
     ++out.cells;
     if (!r.complete()) ++out.incompleteCells;
     return r;
@@ -80,8 +80,9 @@ struct Ctx {
 };
 
 // ---------------------------------------------------------------------------
-// Fig. 1 — mirrors bench/fig1_single_bit.cpp: salts 100 (read) / 200
-// (write), incremented per selected program.
+// Fig. 1 (a, b): outcome classification of single bit-flip campaigns per
+// program and technique. Salts 100 (read) / 200 (write), incremented per
+// selected program.
 void renderFig1(Ctx& ctx) {
   const std::size_t n = experimentsPerCampaign(400);
   headerNote(ctx.out.text, "Fig. 1: single bit-flip outcome classification",
@@ -113,6 +114,7 @@ void renderFig1(Ctx& ctx) {
       }
       const auto benign = r.counts.proportion(stats::Outcome::Benign);
       const auto sdc = r.counts.proportion(stats::Outcome::SDC);
+      // "Detection" = Detected + Hang + NoOutput (§III-E).
       const std::size_t detection = r.counts.count(stats::Outcome::Detected) +
                                     r.counts.count(stats::Outcome::Hang) +
                                     r.counts.count(stats::Outcome::NoOutput);
@@ -134,9 +136,11 @@ void renderFig1(Ctx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Fig. 2 — mirrors bench/fig2_same_register.cpp: salts 1000/2000, walked
-// over the FULL sameRegisterCampaigns axis (also past filtered-out specs)
-// per selected program, so filtered runs keep unfiltered seeds.
+// Fig. 2 (a, b): SDC% when injecting 1..30 errors into the SAME register
+// (win-size = 0). Salts 1000/2000, walked over the FULL
+// sameRegisterCampaigns axis (also past filtered-out specs) per selected
+// program, so an ONEBIT_SPECS-filtered run keeps every surviving cell's
+// seed (and store campaign key) identical to the unfiltered run's.
 void renderFig2(Ctx& ctx) {
   const std::size_t n = experimentsPerCampaign(200);
   headerNote(ctx.out.text,
@@ -154,7 +158,7 @@ void renderFig2(Ctx& ctx) {
     }
     if (specs.empty()) continue;
     std::uint64_t salt = tech == fi::FaultDomain::RegisterRead ? 1000 : 2000;
-    // cells[program][selected spec], row-major like the driver's sweep.
+    // cells[program][selected spec], row-major in request order.
     std::vector<std::vector<CellResolution>> cells;
     for (const std::string& name : programs) {
       std::vector<CellResolution> row;
@@ -200,9 +204,10 @@ void renderFig2(Ctx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Fig. 3 — mirrors bench/fig3_activated_errors.cpp: salts 3000/4000, one
-// per selected program; the nine win-size campaign seeds come from
-// pruning::activationCampaigns on the program's base seed.
+// Fig. 3 (a, b): activated errors before a crash at max-MBF = 30, over all
+// win-sizes (RQ1). Salts 3000/4000, one per selected program; the nine
+// win-size campaign seeds come from pruning::activationCampaigns on the
+// program's base seed.
 void renderFig3(Ctx& ctx) {
   const std::size_t n = experimentsPerCampaign(100);
   headerNote(ctx.out.text,
@@ -276,10 +281,14 @@ void renderFig3(Ctx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Fig. 4 / Fig. 5 / Table III — mirrors bench/fig4_fig5_table3.cpp: one
-// salt counter starting at 50000 walks read grids then write grids; each
-// program's grid and validation seeds derive from its base seed exactly as
-// pruning::gridCampaigns / pruning::validationCampaign do.
+// Fig. 4 / Fig. 5 / Table III from one 81-campaign grid per program and
+// technique (1 single-bit + 8 win-sizes x 10 max-MBF): SDC% per grid cell,
+// and the (max-MBF, win-size) pair with the highest SDC% against the
+// single bit-flip model. One salt counter starting at 50000 walks read
+// grids then write grids; each program's grid and validation seeds derive
+// from its base seed through pruning::gridCampaigns /
+// pruning::validationCampaign. The validation cell is asked for only once
+// its grid is complete, so a driver runs it in a second sweep.
 
 struct ResolvedGrid {
   std::string name;
@@ -334,14 +343,16 @@ std::vector<ResolvedGrid> resolveGrids(Ctx& ctx,
 void printFigure(std::string& out, const char* title,
                  const std::vector<ResolvedGrid>& grids) {
   appendf(out, "--- %s ---\n", title);
+  // One row per program/win-size, SDC% per max-MBF column (the bar series
+  // of the figure).
   std::vector<std::string> header = {"program", "win-size", "m=1"};
   for (const unsigned m : fi::FaultModel::paperMaxMbf()) {
     header.push_back("m=" + std::to_string(m));
   }
   util::TextTable table(header);
   for (const ResolvedGrid& grid : grids) {
-    // Group by win-size label, like the driver; keep cell indices so
-    // incomplete campaigns can be marked in place.
+    // Group by win-size label; keep cell indices so incomplete campaigns
+    // can be marked in place.
     std::map<std::string, std::vector<std::size_t>> byWin;
     std::string singleCell = "-";
     for (std::size_t j = 0; j < grid.configs.size(); ++j) {
@@ -511,8 +522,8 @@ CellResolution resolveCell(const Dataset& ds, const std::string& workload,
 }
 
 std::optional<FigureOutput> renderFigure(std::string_view id,
-                                         const Dataset& ds) {
-  Ctx ctx{ds, {}};
+                                         const CellSource& source) {
+  Ctx ctx{source, {}};
   if (id == "fig1") {
     renderFig1(ctx);
   } else if (id == "fig2") {
@@ -525,6 +536,15 @@ std::optional<FigureOutput> renderFigure(std::string_view id,
     return std::nullopt;
   }
   return std::move(ctx.out);
+}
+
+std::optional<FigureOutput> renderFigure(std::string_view id,
+                                         const Dataset& ds) {
+  return renderFigure(
+      id, [&ds](const std::string& workload, const fi::FaultModel& model,
+                std::uint64_t seed, std::size_t experiments) {
+        return resolveCell(ds, workload, model, seed, experiments);
+      });
 }
 
 std::string_view figureIds() {

@@ -1,36 +1,40 @@
-// Figure regeneration from the campaign store: rebuild the stdout of the
-// paper-artifact drivers (bench/fig1_single_bit, fig2_same_register,
-// fig3_activated_errors, fig4_fig5_table3) from recorded shard aggregates
-// alone — no workload compilation, no experiment execution.
+// The paper's figures (Fig. 1-5, Table III), each defined once. A renderer
+// here walks its figure's campaign cells — programs, fault models, seed
+// salts, experiment counts — asks a CellSource how each cell stands, and
+// formats the answers into the driver's stdout. It is the only place a
+// figure's seed-salt walk lives:
+//   * the bench drivers (bench/fig*.cpp, through bench::runFigure) answer
+//     from live campaign results: they render, run every cell the render
+//     asked for and lacked, and render again until nothing new is asked
+//     for — so the render IS the execution plan;
+//   * `report --figure` answers from a campaign store (the Dataset
+//     overload, through resolveCell), without compiling or executing
+//     anything.
+// The two therefore print the same bytes for the same cells by
+// construction. Selection knobs (ONEBIT_SEED / ONEBIT_EXPERIMENTS /
+// ONEBIT_PROGRAMS / ONEBIT_SPECS / ONEBIT_FLIP_WIDTH / ONEBIT_CSV) come from
+// analytics/knobs.hpp.
 //
-// Contract:
-//   * When the store holds every campaign cell a figure needs (same
-//     ONEBIT_SEED / ONEBIT_EXPERIMENTS / ONEBIT_PROGRAMS / ONEBIT_SPECS /
-//     ONEBIT_FLIP_WIDTH / ONEBIT_CSV knobs the driver ran under), the
-//     rendered text is BYTE-IDENTICAL to the driver's stdout — CI diffs
-//     the two (scripts/analytics_smoke.sh).
-//   * A cell that is only partially recorded, absent, or ambiguous is
-//     NEVER silently folded into a figure value: the affected table cells
-//     are replaced by explicit "incomplete(recorded/expected)" /
-//     "missing" / "ambiguous" markers, derived counts (Fig. 4's RQ2/RQ3
-//     lines) are replaced by an unavailable note, and
-//     FigureOutput::complete() turns false (the report CLI exits 3).
+// A cell that is only partially recorded, absent, or ambiguous is NEVER
+// silently folded into a figure value: the affected table cells are
+// replaced by explicit "incomplete(recorded/expected)" / "missing" /
+// "ambiguous" markers, derived counts (Fig. 4's RQ2/RQ3 lines) are replaced
+// by an unavailable note, cells that depend on other cells' values (Fig. 4's
+// re-validation of a grid argmax) are not asked for until those are
+// complete, and FigureOutput::complete() turns false (the report CLI exits
+// 3). A shard-capped driver run therefore prints what `report --figure`
+// prints for its store.
 //
-// Cell resolution matches campaigns by (workload, spec label, seed,
+// Store resolution matches campaigns by (workload, spec label, seed,
 // experiments) — the identity a shard record carries — and disambiguates
 // flip-width variants (which share a spec label but have distinct campaign
 // keys) through the fleet cell record's explicit flip_width when present;
 // two otherwise indistinguishable candidates render as "ambiguous", never
 // merged.
-//
-// The per-cell seed-salt walks below mirror the drivers' statement for
-// statement (the drivers stay the single source of truth for EXECUTION;
-// this layer only re-derives which cells they ran). Selection knobs are
-// shared with the drivers through analytics/knobs.hpp, so the two cannot
-// drift on seed, scale, filters, width, or CSV mode.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -66,10 +70,17 @@ CellResolution resolveCell(const Dataset& ds, const std::string& workload,
                            const fi::FaultModel& model, std::uint64_t seed,
                            std::size_t experiments);
 
-/// A regenerated figure.
+/// Answers one figure cell request. `model` carries the flip width
+/// (knobs::flipWidth()); `seed` and `experiments` are the cell's resolved
+/// values. A renderer calls it once per cell, in the figure's walk order.
+using CellSource = std::function<CellResolution(
+    const std::string& workload, const fi::FaultModel& model,
+    std::uint64_t seed, std::size_t experiments)>;
+
+/// A rendered figure.
 struct FigureOutput {
-  std::string text;                 ///< the driver's stdout (or marked-up
-                                    ///< partial rendering)
+  std::string text;                 ///< the driver's stdout (marked up
+                                    ///< where cells are incomplete)
   std::size_t cells = 0;            ///< campaign cells the figure needs
   std::size_t incompleteCells = 0;  ///< of those: partial/missing/ambiguous
 
@@ -79,9 +90,12 @@ struct FigureOutput {
 };
 
 /// Render figure `id` ("fig1".."fig4"; "fig5" and "table3" alias "fig4",
-/// which prints all three artifacts like the driver does) from the Dataset
-/// under the current ONEBIT_* selection knobs. Returns nullopt for an
-/// unknown id.
+/// which prints all three artifacts) under the current ONEBIT_* selection
+/// knobs, asking `source` for every cell. Returns nullopt for an unknown id.
+std::optional<FigureOutput> renderFigure(std::string_view id,
+                                         const CellSource& source);
+
+/// renderFigure over a store: each cell is resolveCell(ds, ...).
 std::optional<FigureOutput> renderFigure(std::string_view id,
                                          const Dataset& ds);
 

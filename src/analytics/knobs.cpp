@@ -1,6 +1,7 @@
 #include "analytics/knobs.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "progs/registry.hpp"
 #include "util/env.hpp"
@@ -44,7 +45,17 @@ bool specSelected(const fi::FaultModel& model) {
 }
 
 unsigned flipWidth() {
-  return static_cast<unsigned>(util::envInt("ONEBIT_FLIP_WIDTH", 32));
+  const std::int64_t width = util::envInt("ONEBIT_FLIP_WIDTH", 32);
+  if (width >= 1 && width <= 64) return static_cast<unsigned>(width);
+  static const bool warned = [width] {
+    std::fprintf(stderr,
+                 "warning: ONEBIT_FLIP_WIDTH=%lld is outside 1..64; "
+                 "using 32\n",
+                 static_cast<long long>(width));
+    return true;
+  }();
+  (void)warned;
+  return 32;
 }
 
 bool csvEnabled() { return util::envInt("ONEBIT_CSV", 0) != 0; }

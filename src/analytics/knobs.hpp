@@ -41,7 +41,8 @@ std::vector<std::string> selectedPrograms();
 /// comparison.
 bool specSelected(const fi::FaultModel& model);
 
-/// ONEBIT_FLIP_WIDTH (default 32 = paper-faithful; 64 = raw VM width).
+/// ONEBIT_FLIP_WIDTH (default 32 = paper-faithful; 64 = raw VM width). A
+/// value outside 1..64 falls back to 32, with one warning on stderr.
 unsigned flipWidth();
 
 /// ONEBIT_CSV: emit tables as CSV instead of aligned text.

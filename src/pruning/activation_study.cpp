@@ -48,17 +48,4 @@ void accumulateActivations(ActivationBuckets& buckets,
   }
 }
 
-ActivationBuckets activationStudy(const fi::Workload& workload,
-                                  fi::FaultDomain technique,
-                                  std::size_t experimentsPerCampaign,
-                                  std::uint64_t seed, unsigned flipWidth) {
-  ActivationBuckets buckets;
-  for (const fi::CampaignConfig& config : activationCampaigns(
-           technique, experimentsPerCampaign, seed, flipWidth)) {
-    accumulateActivations(buckets,
-                          fi::runCampaign(workload, config).activationHist);
-  }
-  return buckets;
-}
-
 }  // namespace onebit::pruning

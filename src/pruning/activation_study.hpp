@@ -27,8 +27,7 @@ struct ActivationBuckets {
 /// The campaigns one activation study sweeps: max-MBF = 30 for every Table I
 /// win-size value, with per-campaign seeds derived from `seed` by position.
 /// Run them yourself (e.g. batched on a fi::CampaignSuite with every other
-/// program's campaigns) and fold each result in with accumulateActivations;
-/// activationStudy() below is the run-them-serially convenience wrapper.
+/// program's campaigns) and fold each result in with accumulateActivations.
 std::vector<fi::CampaignConfig> activationCampaigns(
     fi::FaultDomain technique, std::size_t experimentsPerCampaign,
     std::uint64_t seed, unsigned flipWidth = 64);
@@ -36,14 +35,5 @@ std::vector<fi::CampaignConfig> activationCampaigns(
 /// Fold one campaign's crashed-experiment activation histogram into buckets.
 void accumulateActivations(ActivationBuckets& buckets,
                            const fi::ActivationHistogram& hist) noexcept;
-
-/// Runs max-MBF=30 campaigns for every win-size in Table I and aggregates
-/// the activation distribution of crashed experiments.
-/// `experimentsPerCampaign` experiments per win-size value.
-ActivationBuckets activationStudy(const fi::Workload& workload,
-                                  fi::FaultDomain technique,
-                                  std::size_t experimentsPerCampaign,
-                                  std::uint64_t seed,
-                                  unsigned flipWidth = 64);
 
 }  // namespace onebit::pruning

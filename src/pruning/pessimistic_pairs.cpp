@@ -55,30 +55,4 @@ fi::CampaignConfig validationCampaign(const fi::FaultModel& bestModel,
   return config;
 }
 
-PessimisticPairResult findPessimisticPair(const fi::Workload& workload,
-                                          fi::FaultDomain technique,
-                                          std::size_t experimentsPerCampaign,
-                                          std::uint64_t seed,
-                                          std::size_t validationFactor,
-                                          unsigned flipWidth,
-                                          const fi::StoreBinding& binding) {
-  std::vector<CampaignSdc> all;
-  for (const fi::CampaignConfig& config :
-       gridCampaigns(technique, experimentsPerCampaign, seed, flipWidth)) {
-    const fi::CampaignResult result =
-        fi::CampaignEngine(config).withStore(binding).run(workload);
-    all.push_back({config.model, result.sdc()});
-  }
-  PessimisticPairResult out = selectPessimisticPair(std::move(all));
-  // Two-stage estimate: re-run the selected pair on an independent sample to
-  // strip the argmax selection bias.
-  if (out.hasBest) {
-    const fi::CampaignConfig config = validationCampaign(
-        out.bestModel, experimentsPerCampaign, seed, validationFactor);
-    out.validatedBestSdc =
-        fi::CampaignEngine(config).withStore(binding).run(workload).sdc();
-  }
-  return out;
-}
-
 }  // namespace onebit::pruning

@@ -7,15 +7,13 @@
 //   1. gridCampaigns()        — the (spec, seed) plan of the sweep
 //   2. selectPessimisticPair() — pick baseline + argmax from the results
 //   3. validationCampaign()   — the independent re-validation of the argmax
-// findPessimisticPair() composes all three serially for one
-// program/technique (the convenience wrapper the tests use).
+// The Fig. 4 / Table III renderer (analytics/figures.cpp) composes them.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "fi/campaign.hpp"
-#include "fi/campaign_store.hpp"
 #include "fi/grid.hpp"
 
 namespace onebit::pruning {
@@ -51,7 +49,7 @@ struct PessimisticPairResult {
   }
 };
 
-/// Phase 1: the grid findPessimisticPair sweeps for one technique —
+/// Phase 1: the pessimistic-pair grid for one technique —
 /// fi::multiRegisterCampaigns(t) with `flipWidth` applied and per-campaign
 /// seeds derived from `seed` by grid position.
 std::vector<fi::CampaignConfig> gridCampaigns(
@@ -70,18 +68,5 @@ fi::CampaignConfig validationCampaign(const fi::FaultModel& bestModel,
                                       std::size_t experimentsPerCampaign,
                                       std::uint64_t seed,
                                       std::size_t validationFactor = 3);
-
-/// Run the multi-register grid (win-size > 0) for one technique and find the
-/// pessimistic pair. The selected pair is re-validated with an independent,
-/// larger campaign. When `storeBinding` names a CampaignStore, every grid
-/// campaign records its shards there and (with binding.resume) reuses
-/// recorded shards, so an interrupted grid sweep resumes instead of
-/// restarting — each of the ~81 campaigns has its own campaign key in the
-/// shared store file.
-PessimisticPairResult findPessimisticPair(
-    const fi::Workload& workload, fi::FaultDomain technique,
-    std::size_t experimentsPerCampaign, std::uint64_t seed,
-    std::size_t validationFactor = 3, unsigned flipWidth = 64,
-    const fi::StoreBinding& storeBinding = {});
 
 }  // namespace onebit::pruning

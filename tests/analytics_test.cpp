@@ -8,8 +8,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,9 +21,13 @@
 
 #include "analytics/aggregate.hpp"
 #include "analytics/dataset.hpp"
+#include "analytics/figures.hpp"
+#include "analytics/knobs.hpp"
 #include "analytics/summary.hpp"
 #include "analytics/trend.hpp"
 #include "fi/campaign_store.hpp"
+#include "pruning/pessimistic_pairs.hpp"
+#include "util/rng.hpp"
 
 namespace onebit::analytics {
 namespace {
@@ -277,6 +285,194 @@ TEST_F(AnalyticsFixture, StoreTrendMarksPartialSnapshotsExplicitly) {
 }
 
 // ---------------------------------------------------------------------------
+// Selection knobs and the render-as-plan contract: a renderer asks its
+// CellSource for exactly the cells a driver must run, in order.
+
+/// Sets ONEBIT_* selection knobs for one test and restores them after.
+class ScopedEnv {
+ public:
+  ScopedEnv(std::initializer_list<std::pair<const char*, const char*>> vars) {
+    for (const auto& [name, value] : vars) {
+      const char* old = std::getenv(name);
+      saved_.emplace_back(name, old == nullptr ? std::nullopt
+                                               : std::optional<std::string>(old));
+      if (value == nullptr) {
+        ::unsetenv(name);
+      } else {
+        ::setenv(name, value, 1);
+      }
+    }
+  }
+  ~ScopedEnv() {
+    for (const auto& [name, value] : saved_) {
+      if (value) {
+        ::setenv(name.c_str(), value->c_str(), 1);
+      } else {
+        ::unsetenv(name.c_str());
+      }
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  std::vector<std::pair<std::string, std::optional<std::string>>> saved_;
+};
+
+TEST(Knobs, FlipWidthOutsideOneToSixtyFourFallsBackTo32) {
+  for (const char* bad : {"-1", "0", "65"}) {
+    const ScopedEnv env{{"ONEBIT_FLIP_WIDTH", bad}};
+    EXPECT_EQ(flipWidth(), 32u) << bad;
+  }
+  for (const auto& [value, want] : {std::pair{"1", 1u}, std::pair{"64", 64u}}) {
+    const ScopedEnv env{{"ONEBIT_FLIP_WIDTH", value}};
+    EXPECT_EQ(flipWidth(), want) << value;
+  }
+}
+
+/// One cell request as a CellSource sees it.
+struct Request {
+  std::string workload;
+  std::string label;
+  unsigned flipWidth = 0;
+  std::uint64_t seed = 0;
+  std::size_t experiments = 0;
+
+  bool operator==(const Request&) const = default;
+};
+
+Request requestOf(const std::string& workload,
+                  const fi::CampaignConfig& config) {
+  return {workload, config.model.label(), config.model.flipWidth, config.seed,
+          config.experiments};
+}
+
+/// A deterministic complete answer: `sdc` of `n` experiments are SDC, the
+/// rest Benign.
+CellResolution completeCell(std::size_t sdc, std::size_t n) {
+  CellResolution r;
+  for (std::size_t k = 0; k < n; ++k) {
+    r.counts.add(k < sdc ? Outcome::SDC : Outcome::Benign);
+  }
+  r.state = CellResolution::State::Complete;
+  r.recorded = n;
+  r.expected = n;
+  return r;
+}
+
+class RenderPlanFixture : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kN = 8;
+
+  /// The fig4 grid cells of qsort: read then write, 81 each.
+  struct Grid {
+    std::uint64_t baseSeed;
+    std::vector<fi::CampaignConfig> configs;
+  };
+  std::vector<Grid> grids() const {
+    std::vector<Grid> out;
+    std::uint64_t salt = 50000;
+    for (const fi::FaultDomain tech :
+         {fi::FaultDomain::RegisterRead, fi::FaultDomain::RegisterWrite}) {
+      const std::uint64_t base = util::hashCombine(masterSeed(), salt++);
+      out.push_back({base, pruning::gridCampaigns(tech, kN, base, 32)});
+    }
+    return out;
+  }
+
+  /// Render fig4, answering grid cells from `grid` (Missing otherwise), and
+  /// record every request.
+  std::optional<FigureOutput> render(
+      const std::map<std::pair<std::uint64_t, std::string>, CellResolution>&
+          grid) {
+    requests_.clear();
+    return renderFigure(
+        "fig4", [&](const std::string& workload, const fi::FaultModel& model,
+                    std::uint64_t seed, std::size_t experiments) {
+          requests_.push_back({workload, model.label(), model.flipWidth, seed,
+                               experiments});
+          const auto it = grid.find({seed, model.label()});
+          if (it != grid.end()) return it->second;
+          CellResolution missing;
+          missing.expected = experiments;
+          return missing;
+        });
+  }
+
+  ScopedEnv env_{{"ONEBIT_PROGRAMS", "qsort"}, {"ONEBIT_EXPERIMENTS", "8"},
+                 {"ONEBIT_SEED", nullptr},     {"ONEBIT_SPECS", nullptr},
+                 {"ONEBIT_FLIP_WIDTH", nullptr}, {"ONEBIT_CSV", nullptr}};
+  std::vector<Request> requests_;
+};
+
+TEST_F(RenderPlanFixture, MissingSourceSeesExactlyTheGridCellsInOrder) {
+  const std::optional<FigureOutput> fig = render({});
+  ASSERT_TRUE(fig.has_value());
+  std::vector<Request> want;
+  for (const Grid& g : grids()) {
+    for (const fi::CampaignConfig& config : g.configs) {
+      want.push_back(requestOf("qsort", config));
+    }
+  }
+  ASSERT_EQ(want.size(), 162u);
+  EXPECT_EQ(requests_, want);
+  EXPECT_EQ(fig->cells, 162u);
+  EXPECT_EQ(fig->incompleteCells, 162u);
+}
+
+TEST_F(RenderPlanFixture, CompleteGridAsksForOneValidationPerGrid) {
+  std::map<std::pair<std::uint64_t, std::string>, CellResolution> answers;
+  std::vector<Request> want;
+  for (const Grid& g : grids()) {
+    std::vector<pruning::CampaignSdc> all;
+    for (std::size_t j = 0; j < g.configs.size(); ++j) {
+      const CellResolution cell = completeCell((j * 7) % (kN + 1), kN);
+      answers[{g.configs[j].seed, g.configs[j].model.label()}] = cell;
+      all.push_back({g.configs[j].model,
+                     cell.counts.proportion(Outcome::SDC)});
+      want.push_back(requestOf("qsort", g.configs[j]));
+    }
+    const pruning::PessimisticPairResult best =
+        pruning::selectPessimisticPair(std::move(all));
+    ASSERT_TRUE(best.hasBest);
+    want.push_back(requestOf(
+        "qsort", pruning::validationCampaign(best.bestModel, kN, g.baseSeed,
+                                             3)));
+  }
+  const std::optional<FigureOutput> fig = render(answers);
+  ASSERT_TRUE(fig.has_value());
+  EXPECT_EQ(requests_, want);
+  // Only the two validation cells are outstanding.
+  EXPECT_EQ(fig->incompleteCells, 2u);
+}
+
+TEST_F(RenderPlanFixture, PartialGridCellSuppressesThatGridsValidation) {
+  std::map<std::pair<std::uint64_t, std::string>, CellResolution> answers;
+  const std::vector<Grid> gs = grids();
+  for (const Grid& g : gs) {
+    for (std::size_t j = 0; j < g.configs.size(); ++j) {
+      answers[{g.configs[j].seed, g.configs[j].model.label()}] =
+          completeCell(j % (kN + 1), kN);
+    }
+  }
+  // One read-grid cell only half recorded.
+  CellResolution& partial =
+      answers[{gs[0].configs[5].seed, gs[0].configs[5].model.label()}];
+  partial.state = CellResolution::State::Partial;
+  partial.recorded = kN / 2;
+  const std::optional<FigureOutput> fig = render(answers);
+  ASSERT_TRUE(fig.has_value());
+  // 162 grid cells plus the write grid's validation; none for read.
+  ASSERT_EQ(requests_.size(), 163u);
+  for (std::size_t i = 0; i < 81; ++i) {
+    EXPECT_EQ(requests_[i], requestOf("qsort", gs[0].configs[i]));
+  }
+  EXPECT_EQ(requests_[81], requestOf("qsort", gs[1].configs[0]));
+  EXPECT_EQ(requests_[162].experiments, 3 * kN);
+  EXPECT_NE(fig->text.find("incomplete("), std::string::npos);
+  EXPECT_NE(fig->text.find("RQ2/RQ3: unavailable"), std::string::npos);
+}
+
 // Figure byte-identity, through the real binaries. The test locates its
 // sibling executables next to its own binary and skips (never fails) when
 // they are absent — e.g. under a partial build.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "fi/campaign.hpp"
+#include "fi/suite.hpp"
 #include "lang/compile.hpp"
 #include "pruning/activation_study.hpp"
 #include "pruning/pessimistic_pairs.hpp"
@@ -34,6 +35,28 @@ class PruningFixture : public ::testing::Test {
     mod_ = lang::compileMiniC(kWorkload);
     workload_ = std::make_unique<fi::Workload>(mod_);
   }
+  /// Run `configs` as one fi::CampaignSuite on the fixture's workload.
+  std::vector<fi::CampaignResult> runSuite(
+      const std::vector<fi::CampaignConfig>& configs) const {
+    fi::CampaignSuite suite;
+    for (const fi::CampaignConfig& config : configs) {
+      suite.addCell(config.model.label(), *workload_, config.model,
+                    config.experiments, config.seed);
+    }
+    return suite.run();
+  }
+
+  /// The activation study: fold every activationCampaigns() result.
+  ActivationBuckets activations(fi::FaultDomain technique, std::size_t n,
+                                std::uint64_t seed) const {
+    ActivationBuckets buckets;
+    for (const fi::CampaignResult& r :
+         runSuite(activationCampaigns(technique, n, seed))) {
+      accumulateActivations(buckets, r.activationHist);
+    }
+    return buckets;
+  }
+
   ir::Module mod_;
   std::unique_ptr<fi::Workload> workload_;
 };
@@ -57,7 +80,7 @@ TEST(ActivationBuckets, EmptyIsAllZero) {
 
 TEST_F(PruningFixture, ActivationStudyCountsOnlyCrashes) {
   const ActivationBuckets b =
-      activationStudy(*workload_, fi::FaultDomain::RegisterWrite, 40, 123);
+      activations(fi::FaultDomain::RegisterWrite, 40, 123);
   // Every bucketed experiment crashed; totals are bounded by the experiment
   // count (9 win-sizes x 40 experiments).
   EXPECT_LE(b.total(), 9u * 40u);
@@ -66,10 +89,8 @@ TEST_F(PruningFixture, ActivationStudyCountsOnlyCrashes) {
 }
 
 TEST_F(PruningFixture, ActivationStudyIsDeterministic) {
-  const ActivationBuckets a =
-      activationStudy(*workload_, fi::FaultDomain::RegisterRead, 25, 9);
-  const ActivationBuckets b =
-      activationStudy(*workload_, fi::FaultDomain::RegisterRead, 25, 9);
+  const ActivationBuckets a = activations(fi::FaultDomain::RegisterRead, 25, 9);
+  const ActivationBuckets b = activations(fi::FaultDomain::RegisterRead, 25, 9);
   EXPECT_EQ(a.upToFive, b.upToFive);
   EXPECT_EQ(a.sixToTen, b.sixToTen);
   EXPECT_EQ(a.moreThanTen, b.moreThanTen);
@@ -78,8 +99,19 @@ TEST_F(PruningFixture, ActivationStudyIsDeterministic) {
 // --- PessimisticPairs ------------------------------------------------------------
 
 TEST_F(PruningFixture, PessimisticPairCoversFullGrid) {
-  const PessimisticPairResult r =
-      findPessimisticPair(*workload_, fi::FaultDomain::RegisterWrite, 30, 11, 1);
+  // gridCampaigns -> selectPessimisticPair -> validationCampaign, with a
+  // validation factor of 1.
+  const std::vector<fi::CampaignConfig> grid =
+      gridCampaigns(fi::FaultDomain::RegisterWrite, 30, 11);
+  const std::vector<fi::CampaignResult> results = runSuite(grid);
+  std::vector<CampaignSdc> all;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    all.push_back({grid[i].model, results[i].sdc()});
+  }
+  PessimisticPairResult r = selectPessimisticPair(std::move(all));
+  ASSERT_TRUE(r.hasBest);
+  r.validatedBestSdc =
+      runSuite({validationCampaign(r.bestModel, 30, 11, 1)}).front().sdc();
   EXPECT_EQ(r.all.size(), 81u);  // single + 8 win x 10 mbf
   EXPECT_FALSE(r.bestModel.isSingleBit());
   EXPECT_GT(r.validatedBestSdc.n, 0u);
