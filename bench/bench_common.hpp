@@ -160,7 +160,7 @@ inline fi::PrunePolicy prunePolicyFromEnv() {
 /// bit-identical to the reference interpreter by the differential backend
 /// fuzzer, the equivalence sweep suite, and the CI smoke diff — and
 /// ONEBIT_DISPATCH=switch selects the reference loop everywhere (the
-/// comparison baseline scripts/bench_dispatch.sh measures against).
+/// baseline scripts/knob_matrix.sh diffs the threaded loop against).
 inline vm::DispatchBackend dispatchFromEnv() {
   const std::string v = util::envStr("ONEBIT_DISPATCH", "threaded");
   if (v == "switch") return vm::DispatchBackend::Switch;
@@ -387,8 +387,8 @@ class SweepBuilder {
                          : "nothing was recorded; set ONEBIT_STORE to make "
                            "partial runs resumable");
       }
-      // Machine-greppable pruning summary (scripts/bench_prune.sh parses
-      // this line). Stderr, not stdout: hit counters depend on thread
+      // Machine-greppable pruning summary (scripts/knob_matrix.sh requires
+      // it from a pruned run). Stderr, not stdout: hit counters depend on thread
       // scheduling, and bench stdout must stay byte-identical under
       // ONEBIT_PRUNE.
       if (prunePolicyFromEnv().enabled) {

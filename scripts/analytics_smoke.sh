@@ -15,18 +15,20 @@
 #   5. `report --trend` across the partial and the complete snapshot marks
 #      the partial column explicitly,
 #   6. `report --watch --once` renders one dashboard frame over the store,
-#   7. `store_stats --json` emits the machine-readable summary.
+#   7. `report --json` emits the machine-readable summary,
+#   8. `report --group` renders a (workload x spec) row per fig1 campaign,
+#      and `report --workers` renders its roll-up table.
 #
 #   scripts/analytics_smoke.sh [BUILD_DIR]
 #
-# BUILD_DIR defaults to ./build; it must contain the bench_fig* drivers,
-# report, and store_stats (built by the default CMake configuration).
+# BUILD_DIR defaults to ./build; it must contain the bench_fig* drivers and
+# report (built by the default CMake configuration).
 set -eu
 
 build=${1:-build}
 
 for tool in bench_fig1_single_bit bench_fig2_same_register \
-    bench_fig3_activated_errors bench_fig4_fig5_table3 report store_stats; do
+    bench_fig3_activated_errors bench_fig4_fig5_table3 report; do
   if [ ! -x "$build/$tool" ]; then
     echo "error: $build/$tool not found or not executable; build first" >&2
     echo "  cmake -B $build -S . && cmake --build $build -j" >&2
@@ -99,8 +101,20 @@ echo "== watch dashboard, one frame"
 "$build/report" --watch --once "$tmp/fig1.jsonl" > "$tmp/watch.txt"
 grep -q 'report --watch' "$tmp/watch.txt"
 
-echo "== store_stats --json"
-"$build/store_stats" --json "$tmp/fig1.jsonl" > "$tmp/stats.json"
-grep -q '"campaigns"' "$tmp/stats.json"
+echo "== report --json summary"
+"$build/report" --json "$tmp/fig1.jsonl" > "$tmp/summary.json"
+grep -q '"campaigns"' "$tmp/summary.json"
+
+echo "== report --group: one row per fig1 (workload x spec)"
+"$build/report" --group "$tmp/fig1.jsonl" > "$tmp/group.txt"
+for program in $(echo "$ONEBIT_PROGRAMS" | tr ',' ' '); do
+  for spec in read/single write/single; do
+    grep -q "^$program  *$spec " "$tmp/group.txt"
+  done
+done
+
+echo "== report --workers renders the roll-up table"
+"$build/report" --workers "$tmp/fig1.jsonl" > "$tmp/workers.txt"
+grep -q '^worker  *shards  *experiments' "$tmp/workers.txt"
 
 echo "analytics smoke: OK"

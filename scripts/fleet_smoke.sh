@@ -13,23 +13,25 @@
 #   2b. the same CSV and shard-record identity for 2-worker fleets beyond
 #      the default knobs: with ONEBIT_PRUNE=1 (whose store must also carry
 #      the workers' outcome records) and with ONEBIT_DISPATCH=switch,
-#   3. store_stats reads the fleet store and reports it complete,
+#   3. `report` reads the fleet store and reports every campaign complete,
 #   4. `report --figure fig1` regenerates the solo CSV byte-identically
 #      from the fleet store's records, and `report --watch --once` renders
 #      a dashboard frame over it,
 #   5. compaction drops every (superseded) lease, and the compacted store
-#      still resumes to the same CSV.
+#      still resumes to the same CSV,
+#   6. `fleet_broker --submit` refuses a negative experiment count with
+#      exit 2 and leaves the store byte-unchanged.
 #
 #   scripts/fleet_smoke.sh [BUILD_DIR]
 #
 # BUILD_DIR defaults to ./build; it must contain bench_fig1_single_bit,
-# store_stats, report, and compact_store (built by the default CMake
+# report, compact_store, and fleet_broker (built by the default CMake
 # configuration).
 set -eu
 
 build=${1:-build}
 
-for tool in bench_fig1_single_bit store_stats report compact_store; do
+for tool in bench_fig1_single_bit report compact_store fleet_broker; do
   if [ ! -x "$build/$tool" ]; then
     echo "error: $build/$tool not found or not executable; build first" >&2
     echo "  cmake -B $build -S . && cmake --build $build -j" >&2
@@ -82,8 +84,13 @@ for knob in ONEBIT_PRUNE=1 ONEBIT_DISPATCH=switch; do
   rm -f "$tmp/knob.jsonl" "$tmp/knob.jsonl.lock"
 done
 
-echo "== store_stats on the fleet store"
-"$build/store_stats" "$tmp/fleet.jsonl"
+echo "== report summary on the fleet store: every campaign complete"
+"$build/report" "$tmp/fleet.jsonl" | tee "$tmp/summary.txt"
+grep -q '^  0x' "$tmp/summary.txt"
+if grep '^  0x' "$tmp/summary.txt" | grep -qv '\[complete\]'; then
+  echo "error: report lists an incomplete campaign in the fleet store" >&2
+  exit 1
+fi
 
 echo "== report --figure fig1 regenerates the solo CSV from the fleet store"
 "$build/report" --figure fig1 "$tmp/fleet.jsonl" > "$tmp/fig1_report.csv"
@@ -104,5 +111,16 @@ echo "== resume from the compacted fleet store matches the solo CSV"
 ONEBIT_STORE="$tmp/fleet.jsonl" ONEBIT_RESUME=1 \
   "$build/bench_fig1_single_bit" > "$tmp/fig1_resumed.csv"
 diff "$tmp/fig1_solo.csv" "$tmp/fig1_resumed.csv"
+
+echo "== fleet_broker --submit rejects a negative experiment count"
+cp "$tmp/fleet.jsonl" "$tmp/before.jsonl"
+rc=0
+"$build/fleet_broker" "$tmp/fleet.jsonl" --submit qsort read/single -1 \
+  2> "$tmp/submit.err" || rc=$?
+if [ "$rc" != 2 ]; then
+  echo "error: --submit with -1 experiments exited $rc, want 2" >&2
+  exit 1
+fi
+cmp "$tmp/before.jsonl" "$tmp/fleet.jsonl"
 
 echo "fleet smoke: OK"

@@ -7,17 +7,21 @@
 #              contract), 64 experiments, all programs
 #   snapshots  fig1 with the golden-prefix snapshot cache off
 #              (ONEBIT_SNAPSHOT_INTERVAL=0), at interval 1, and at the auto
-#              interval; 96 experiments, 4 threads, all programs
+#              interval; 96 experiments, 4 threads, all programs; and the
+#              fig4 grid (8 experiments) off vs auto
 #   prune      ONEBIT_PRUNE=0 vs 1 on fig1 and the memory-fault scenario at
 #              threads 1 and 8 (64 experiments) and on the fig4 grid (8);
-#              a pruned fig1 store (4 threads) must hold the same shard
-#              records as an unpruned one, plus "outcome" records
+#              a pruned fig1 run must print its "[prune] ...
+#              short_circuited=N" summary on stderr, and a pruned fig1 store
+#              (4 threads) must hold the same shard records as an unpruned
+#              one, plus "outcome" records
 #   dispatch   ONEBIT_DISPATCH=switch vs threaded on fig1 at threads 1 and 8
 #              (64 experiments) and on the fig4 grid (8)
 #
-# prune and dispatch run on ONEBIT_PROGRAMS=qsort,crc32. Every other
-# ONEBIT_* knob is cleared first, so the caller's environment cannot leak
-# into a comparison.
+# The fig4 snapshot row, prune and dispatch run on
+# ONEBIT_PROGRAMS=qsort,crc32,sha,dijkstra. An empty output fails a
+# comparison. Every other ONEBIT_* knob is cleared first, so the caller's
+# environment cannot leak into a comparison.
 #
 #   scripts/knob_matrix.sh [BUILD_DIR]
 #
@@ -45,15 +49,26 @@ trap 'rm -rf "$tmp"' EXIT
 
 export ONEBIT_CSV=1
 
-# run OUT DRIVER [KNOB=VALUE ...]: DRIVER's stdout under the knobs into OUT.
+# run OUT DRIVER [KNOB=VALUE ...]: DRIVER's stdout under the knobs into OUT,
+# its stderr into OUT.err.
 run() {
   out=$1 driver=$2
   shift 2
-  env "$@" "$build/bench_$driver" > "$tmp/$out"
+  if ! env "$@" "$build/bench_$driver" > "$tmp/$out" 2> "$tmp/$out.err"; then
+    cat "$tmp/$out.err" >&2
+    echo "error: bench_$driver failed under $*" >&2
+    exit 1
+  fi
 }
 
-# same A B: the two outputs must be byte-identical.
+# same A B: the two outputs must be non-empty and byte-identical.
 same() {
+  for f in "$1" "$2"; do
+    if [ ! -s "$tmp/$f" ]; then
+      echo "error: $f is empty" >&2
+      exit 1
+    fi
+  done
   diff "$tmp/$1" "$tmp/$2"
 }
 
@@ -71,7 +86,13 @@ run fig1_snap_auto fig1_single_bit ONEBIT_EXPERIMENTS=96 ONEBIT_THREADS=4
 same fig1_snap_off fig1_snap_i1
 same fig1_snap_off fig1_snap_auto
 
-export ONEBIT_PROGRAMS=qsort,crc32
+export ONEBIT_PROGRAMS=qsort,crc32,sha,dijkstra
+
+echo "== snapshots: fig4 grid cache off vs auto"
+run fig4_snap_off fig4_fig5_table3 ONEBIT_EXPERIMENTS=8 \
+  ONEBIT_SNAPSHOT_INTERVAL=0
+run fig4_snap_auto fig4_fig5_table3 ONEBIT_EXPERIMENTS=8
+same fig4_snap_off fig4_snap_auto
 
 for t in 1 8; do
   echo "== prune: fig1 and memory faults at $t thread(s), off vs on"
@@ -83,6 +104,11 @@ for t in 1 8; do
   done
   same "fig1_p0_t$t" "fig1_p1_t$t"
   same "mem_p0_t$t" "mem_p1_t$t"
+  if ! grep -q '^\[prune\] .*short_circuited=[0-9]' "$tmp/fig1_p1_t$t.err"; then
+    echo "error: pruned fig1 run printed no [prune] summary line" >&2
+    cat "$tmp/fig1_p1_t$t.err" >&2
+    exit 1
+  fi
 done
 
 echo "== prune: fig4 grid, off vs on"

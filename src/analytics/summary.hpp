@@ -1,12 +1,10 @@
-// The classic store-summary report (tools/store_stats.cpp is a thin shell
-// around renderSummaryText) and its JSON twin: per-campaign completion,
-// outcome totals, fleet lease status, quarantined shard ranges, and the
-// per-worker progress rollup.
+// The store-summary report (`report [--summary] STORE`) and its JSON twin:
+// per-campaign completion, outcome totals, fleet lease status, quarantined
+// shard ranges, and the per-worker progress rollup.
 //
-// For a single-source Dataset the text output is byte-stable against the
-// historical store_stats format — scripts that parse it keep working. A
-// multi-source Dataset gets one header line per source plus a merged
-// campaign listing.
+// For a single-source Dataset the text output is byte-stable: scripts
+// parse and diff it. A multi-source Dataset gets one header line per
+// source plus a merged campaign listing.
 #pragma once
 
 #include <cstdint>

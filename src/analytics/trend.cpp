@@ -80,41 +80,6 @@ std::string deltaCell(const std::vector<std::optional<TrendPoint>>& points) {
   return buf;
 }
 
-/// Slurp and parse one whole (possibly pretty-printed, multi-line) JSON
-/// document; nullopt when missing or malformed.
-std::optional<util::Json> readJsonFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
-  std::string text;
-  char buf[4096];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) != 0) {
-    text.append(buf, got);
-  }
-  std::fclose(f);
-  return util::Json::parse(text);
-}
-
-void flattenNumbers(const util::Json& value, const std::string& prefix,
-                    std::map<std::string, double>& out) {
-  if (value.isNumber()) {
-    out[prefix] = value.asDouble();
-    return;
-  }
-  if (value.isObject()) {
-    for (const auto& [key, member] : value.members()) {
-      flattenNumbers(member, prefix.empty() ? key : prefix + "." + key, out);
-    }
-    return;
-  }
-  if (value.isArray()) {
-    std::size_t i = 0;
-    for (const util::Json& item : value.items()) {
-      flattenNumbers(item, prefix + "[" + std::to_string(i++) + "]", out);
-    }
-  }
-}
-
 }  // namespace
 
 util::TextTable storeTrendTable(const std::vector<std::string>& paths) {
@@ -170,47 +135,6 @@ util::Json storeTrendJson(const std::vector<std::string>& paths) {
   }
   out.set("cells", std::move(cells));
   return out;
-}
-
-util::TextTable benchTrendTable(const std::vector<std::string>& paths) {
-  // metric path → per-file value.
-  std::map<std::string, std::vector<std::optional<double>>> metrics;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    const std::optional<util::Json> doc = readJsonFile(paths[i]);
-    if (!doc) continue;
-    std::map<std::string, double> flat;
-    flattenNumbers(*doc, "", flat);
-    for (const auto& [path, value] : flat) {
-      auto [it, inserted] = metrics.try_emplace(
-          path, std::vector<std::optional<double>>(paths.size()));
-      it->second[i] = value;
-    }
-  }
-  std::vector<std::string> header = {"metric"};
-  for (const std::string& path : paths) header.push_back(path);
-  header.push_back("Δ(last-first)");
-  util::TextTable table(header);
-  for (const auto& [path, values] : metrics) {
-    std::vector<std::string> row = {path};
-    for (const auto& value : values) {
-      row.push_back(value ? util::fmtDouble(*value) : "-");
-    }
-    const std::optional<double>* first = nullptr;
-    const std::optional<double>* last = nullptr;
-    for (const auto& value : values) {
-      if (!value) continue;
-      if (first == nullptr) {
-        first = &value;
-      } else {
-        last = &value;
-      }
-    }
-    row.push_back(first != nullptr && last != nullptr
-                      ? util::fmtDouble(**last - **first)
-                      : "-");
-    table.addRow(std::move(row));
-  }
-  return table;
 }
 
 }  // namespace onebit::analytics

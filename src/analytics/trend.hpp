@@ -1,7 +1,5 @@
-// Trend reports: the same campaign cell (or benchmark metric) tracked
-// across several snapshots in time — store files saved at different points
-// of a long campaign, or the BENCH_*.json artifacts successive runs of the
-// scripts/bench_*.sh harnesses wrote.
+// Trend reports: the same campaign cell tracked across several snapshots
+// in time — store files saved at different points of a long campaign.
 //
 // Store trends key campaigns by campaign KEY (the 64-bit identity the
 // determinism contract hashes), so a cell lines up across snapshots if and
@@ -26,12 +24,5 @@ util::TextTable storeTrendTable(const std::vector<std::string>& paths);
 /// The same data as JSON: {"stores": [...], "cells": [{key, workload,
 /// spec, points: [{recorded, expected, complete, sdc}|null, ...]}]}.
 util::Json storeTrendJson(const std::vector<std::string>& paths);
-
-/// One BENCH_*.json file per column: every NUMERIC leaf (flattened as
-/// "drivers.fig1_single_bit.speedup"-style dotted paths) becomes a row,
-/// with the last-minus-first delta where both endpoints carry the metric.
-/// A file that is missing or unparseable contributes an empty column (the
-/// report must not die because one historical artifact is gone).
-util::TextTable benchTrendTable(const std::vector<std::string>& paths);
 
 }  // namespace onebit::analytics

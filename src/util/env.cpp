@@ -1,5 +1,7 @@
 #include "util/env.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 namespace onebit::util {
@@ -16,6 +18,16 @@ std::int64_t envInt(const std::string& name, std::int64_t fallback) {
 std::size_t envSize(const std::string& name, std::size_t fallback) {
   const std::int64_t v = envInt(name, static_cast<std::int64_t>(fallback));
   return v < 0 ? 0 : static_cast<std::size_t>(v);
+}
+
+bool parseCount(const char* s, std::uint64_t& out, int base) {
+  if (!std::isalnum(static_cast<unsigned char>(*s))) return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(s, &end, base);
+  if (end == s || *end != '\0' || errno == ERANGE) return false;
+  out = v;
+  return true;
 }
 
 std::string envStr(const std::string& name, const std::string& fallback) {

@@ -1,4 +1,4 @@
-// Environment-variable helpers used to scale benchmark harnesses.
+// Environment-variable and command-line value parsing helpers.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +15,12 @@ std::int64_t envInt(const std::string& name, std::int64_t fallback);
 /// negative values clamp to 0 ("auto" for every ONEBIT_* size knob), so a
 /// stray `-1` can never be cast into a 2^64-scale request.
 std::size_t envSize(const std::string& name, std::size_t fallback = 0);
+
+/// Parse all of `s` as an unsigned integer in `base` (16 also takes a "0x"
+/// prefix) into `out`. Rejects the empty string, a leading sign or blank,
+/// trailing junk and values above 2^64-1, where strtoull would accept "-1"
+/// and wrap it to 2^64-1. `out` is untouched on failure.
+bool parseCount(const char* s, std::uint64_t& out, int base = 10);
 
 /// Read a string environment variable; returns fallback when unset.
 std::string envStr(const std::string& name, const std::string& fallback);

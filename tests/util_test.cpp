@@ -257,6 +257,54 @@ TEST(Env, SizeFallbackOnGarbage) {
   ::unsetenv("ONEBIT_TEST_SIZE");
 }
 
+TEST(ParseCount, AcceptsWholeUnsignedValues) {
+  std::uint64_t v = 0;
+  EXPECT_TRUE(parseCount("0", v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(parseCount("18446744073709551615", v));
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_TRUE(parseCount("7e1", v, 16));
+  EXPECT_EQ(v, 0x7e1u);
+  EXPECT_TRUE(parseCount("0x7E1", v, 16));
+  EXPECT_EQ(v, 0x7e1u);
+}
+
+TEST(ParseCount, RejectsEmpty) {
+  std::uint64_t v = 5;
+  EXPECT_FALSE(parseCount("", v));
+  EXPECT_FALSE(parseCount("", v, 16));
+  EXPECT_EQ(v, 5u);
+}
+
+TEST(ParseCount, RejectsSign) {
+  // strtoull alone would wrap "-1" to 2^64-1.
+  std::uint64_t v = 5;
+  EXPECT_FALSE(parseCount("-1", v));
+  EXPECT_FALSE(parseCount("-0", v));
+  EXPECT_FALSE(parseCount("+1", v));
+  EXPECT_FALSE(parseCount("-1", v, 16));
+  EXPECT_FALSE(parseCount(" 1", v));
+  EXPECT_EQ(v, 5u);
+}
+
+TEST(ParseCount, RejectsTrailingJunk) {
+  std::uint64_t v = 5;
+  EXPECT_FALSE(parseCount("12abc", v));
+  EXPECT_FALSE(parseCount("12 ", v));
+  EXPECT_FALSE(parseCount("abc", v));
+  EXPECT_FALSE(parseCount("0x", v, 16));
+  EXPECT_FALSE(parseCount("7g", v, 16));
+  EXPECT_EQ(v, 5u);
+}
+
+TEST(ParseCount, RejectsOverflow) {
+  std::uint64_t v = 5;
+  EXPECT_FALSE(parseCount("18446744073709551616", v));
+  EXPECT_FALSE(parseCount("99999999999999999999999", v));
+  EXPECT_FALSE(parseCount("10000000000000000", v, 16));
+  EXPECT_EQ(v, 5u);
+}
+
 TEST(Env, SplitListBasics) {
   EXPECT_EQ(splitList("a,b,c"),
             (std::vector<std::string>{"a", "b", "c"}));

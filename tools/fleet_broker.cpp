@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
@@ -24,8 +23,11 @@
 
 #include "fi/fleet.hpp"
 #include "progs/registry.hpp"
+#include "util/env.hpp"
 
 namespace {
+
+using onebit::util::parseCount;
 
 void usage(const char* argv0) {
   std::fprintf(
@@ -36,14 +38,6 @@ void usage(const char* argv0) {
       "                      [--flip-width W] [--shard-size S] "
       "[--hang-factor H]\n",
       argv0, argv0, argv0);
-}
-
-bool parseCount(const char* s, std::uint64_t& out, int base = 10) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, base);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
 }
 
 int printStatus(onebit::fi::FleetBroker& broker) {

@@ -15,8 +15,11 @@
 #include <string>
 
 #include "fi/fleet.hpp"
+#include "util/env.hpp"
 
 namespace {
+
+using onebit::util::parseCount;
 
 void usage(const char* argv0) {
   std::fprintf(
@@ -36,14 +39,6 @@ void usage(const char* argv0) {
       "  --poison NAME[:S]  test hook: SIGKILL self after claiming shard S\n"
       "                     (any shard if omitted) of workload NAME\n",
       argv0);
-}
-
-bool parseCount(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
 }
 
 bool parseQuantile(const char* s, double& out) {

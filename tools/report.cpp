@@ -1,6 +1,7 @@
 // Store-backed analytics CLI: regenerate paper figures, summarize and
 // group campaign stores, roll up fleet workers, track trends across store
-// snapshots or BENCH_*.json artifacts, and watch a live fleet store.
+// snapshots, and watch a live fleet store. `report [--json] STORE` is the
+// one-shot progress query; its text output is byte-stable (scripts diff it).
 //
 // Everything is read-only over src/analytics/ (see docs/ARCHITECTURE.md,
 // "Analytics"): stores are opened without a writer stream or lock file, so
@@ -40,7 +41,6 @@ int usage(const char* argv0) {
       "  --group          (workload x spec) roll-up across all stores\n"
       "  --workers        per-worker shard/experiment/cost roll-up\n"
       "  --trend          per-campaign trend across the stores, in arg order\n"
-      "  --bench-trend    numeric-leaf trend across BENCH_*.json files\n"
       "  --watch          live dashboard: poll the stores and redraw\n"
       "options:\n"
       "  --csv            CSV tables (equivalent to ONEBIT_CSV=1)\n"
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") return usage(argv[0]);
     if (arg == "--summary" || arg == "--group" || arg == "--workers" ||
-        arg == "--trend" || arg == "--bench-trend" || arg == "--watch") {
+        arg == "--trend" || arg == "--watch") {
       mode = arg;
     } else if (arg == "--figure") {
       if (++i >= argc) return usage(argv[0]);
@@ -110,13 +110,6 @@ int main(int argc, char** argv) {
   if (paths.empty()) return usage(argv[0]);
   const bool csv = analytics::csvEnabled();
 
-  if (mode == "--bench-trend") {
-    std::fputs(
-        analytics::renderTable(analytics::benchTrendTable(paths), csv)
-            .c_str(),
-        stdout);
-    return 0;
-  }
   if (mode == "--trend") {
     if (json) {
       std::printf("%s\n", analytics::storeTrendJson(paths).dump().c_str());
