@@ -87,11 +87,10 @@
 //                       random live worker roughly this often (never
 //                       counted toward poison detection; 0/unset = off)
 //
-// Drivers that sweep several campaigns should not loop over campaign();
-// they should declare every (workload × spec) cell on a SweepBuilder and
-// run() it once: the whole sweep executes as ONE fi::CampaignSuite, shards
-// from all campaigns interleaved on a single thread pool, with results
-// bit-identical to the one-at-a-time loop (see fi/suite.hpp).
+// Every driver declares its (workload × spec) cells on a SweepBuilder and
+// run()s it once: the whole sweep executes as ONE fi::CampaignSuite, shards
+// from all campaigns interleaved on a single thread pool, with each cell
+// bit-identical to a one-campaign run (see fi/suite.hpp).
 #pragma once
 
 #include <algorithm>
@@ -229,16 +228,6 @@ inline bool resumeEnabled() {
   return enabled;
 }
 
-/// The store binding bench campaigns run under: records to ONEBIT_STORE when
-/// set, resumes when ONEBIT_RESUME=1. Inert when no store is configured.
-inline fi::StoreBinding storeBinding(std::string workloadName) {
-  fi::StoreBinding binding;
-  binding.store = sharedStore();
-  binding.resume = resumeEnabled();
-  binding.workload = std::move(workloadName);
-  return binding;
-}
-
 /// Worker processes requested by ONEBIT_FLEET_WORKERS (0 = run in-process).
 inline std::size_t fleetWorkers() {
   return util::envSize("ONEBIT_FLEET_WORKERS");
@@ -252,7 +241,6 @@ inline void applyFleetEnv(fi::FleetConfig& config) {
       util::envSize("ONEBIT_FLEET_LEASE_MS", config.leaseMs));
   config.heartbeatMs = static_cast<std::uint64_t>(
       util::envSize("ONEBIT_FLEET_HEARTBEAT_MS", config.heartbeatMs));
-  config.pruning = prunePolicyFromEnv().enabled;
   const std::string quantile = util::envStr("ONEBIT_LEASE_QUANTILE", "");
   if (!quantile.empty()) {
     char* end = nullptr;
@@ -297,28 +285,37 @@ inline fi::LocalFleetOptions fleetOptionsFromEnv() {
 }
 
 /// The suite configuration every bench sweep runs under, resolved from the
-/// environment knobs once per builder.
+/// environment knobs once per builder: records to ONEBIT_STORE when set and
+/// resumes from it when ONEBIT_RESUME=1. Pruning is not a knob here — a
+/// cell prunes when loadWorkloads() built its workload with ONEBIT_PRUNE.
 inline fi::SuiteConfig suiteConfigFromEnv() {
   fi::SuiteConfig cfg;
   cfg.threads = util::envSize("ONEBIT_THREADS");
   cfg.shardSize = util::envSize("ONEBIT_SHARD_SIZE");
   cfg.maxShards = util::envSize("ONEBIT_MAX_SHARDS");
-  cfg.pruning = prunePolicyFromEnv().enabled;
-  cfg.withStore(storeBinding({}));
+  cfg.record = sharedStore();
+  if (resumeEnabled()) cfg.resume = cfg.record;
   return cfg;
 }
 
 /// Declarative bench sweep: queue (workload × spec) campaign cells with
 /// add(), then run() once — the whole sweep executes as ONE
-/// fi::CampaignSuite honoring every env knob campaign() honors. Results come
-/// back in add() order; each cell is bit-identical to what a solo
-/// bench::campaign() call with the same arguments returns.
+/// fi::CampaignSuite under every env knob. Results come back in add()
+/// order; each cell is bit-identical to fi::runCampaign() of the same
+/// campaign.
 class SweepBuilder {
  public:
   SweepBuilder() : suite_(suiteConfigFromEnv()) {
     const std::int64_t level = util::envInt("ONEBIT_PROGRESS", 0);
     if (level >= 1) {
-      suite_.onProgress([](const fi::SuiteProgress& p) {
+      suite_.onProgress([level](const fi::SuiteProgress& p) {
+        if (level >= 2) {
+          std::fprintf(stderr,
+                       "    shard %zu/%zu %s (%zu/%zu experiments)\n",
+                       p.completedShards, p.shardCount,
+                       p.resumed ? "resumed" : "done",
+                       p.cellCompletedExperiments, p.cellTotalExperiments);
+        }
         std::fprintf(stderr,
                      "  [%s] %s %zu/%zu experiments (suite %zu/%zu, "
                      "%zu/%zu campaigns done)\n",
@@ -328,19 +325,10 @@ class SweepBuilder {
                      p.completedCells, p.cellCount);
       });
     }
-    if (level >= 2) {
-      suite_.onShardDone([](const fi::ShardProgress& p) {
-        std::fprintf(stderr, "    shard %zu/%zu %s (%zu/%zu experiments)\n",
-                     p.completedShards, p.shardCount,
-                     p.resumed ? "resumed" : "done", p.completedExperiments,
-                     p.totalExperiments);
-      });
-    }
   }
 
-  /// Queue one campaign cell. The master seed and flip width are applied
-  /// here, exactly as campaign() applies them. Returns the cell's index
-  /// into the run() result vector.
+  /// Queue one campaign cell, applying the master seed and flip width.
+  /// Returns the cell's index into the run() result vector.
   std::size_t add(const std::string& workloadName, const fi::Workload& w,
                   fi::FaultModel spec, std::size_t n, std::uint64_t seedSalt) {
     spec.flipWidth = flipWidth();
@@ -441,18 +429,6 @@ class SweepBuilder {
   std::vector<fi::CampaignResult> results_;
   bool ran_ = false;
 };
-
-/// Run one campaign under the env knobs — a single-cell SweepBuilder. Kept
-/// for drivers and examples that genuinely have one campaign; anything
-/// iterating workloads or specs should batch cells on a SweepBuilder.
-inline fi::CampaignResult campaign(const fi::Workload& w,
-                                   const fi::FaultModel& spec, std::size_t n,
-                                   std::uint64_t seedSalt,
-                                   std::string workloadName = {}) {
-  SweepBuilder sweep;
-  const std::size_t idx = sweep.add(workloadName, w, spec, n, seedSalt);
-  return sweep[idx];
-}
 
 /// Run paper figure `id` (analytics::figureIds()) and print it. The
 /// renderer in analytics/figures.cpp is the figure's one definition, and

@@ -8,15 +8,15 @@
 // The demo deliberately ignores ONEBIT_STORE — it deletes and rewrites its
 // store file, and must never do that to a real campaign store.
 //
-// The "interruption" uses the engine's shard cap (CampaignConfig::maxShards)
+// The "interruption" uses the suite's shard cap (SuiteConfig::maxShards)
 // so the demo is deterministic; killing the process mid-campaign behaves the
 // same because every shard record is flushed before the next shard starts.
 #include <algorithm>
 #include <cstdio>
 #include <string>
 
-#include "fi/campaign.hpp"
 #include "fi/campaign_store.hpp"
+#include "fi/suite.hpp"
 #include "lang/compile.hpp"
 #include "util/env.hpp"
 
@@ -56,26 +56,33 @@ int main() {
   config.experiments = static_cast<std::size_t>(
       util::envInt("ONEBIT_EXPERIMENTS", 400));
   config.seed = 0xc8ec9017ULL;
-  config.shardSize = 32;
+  constexpr std::size_t kShardSize = 32;
+
+  // Every run below is a one-cell suite; the cell's store name is stamped
+  // into the shard records it writes.
+  const auto run = [&](const fi::SuiteConfig& cfg) {
+    fi::CampaignSuite suite(cfg);
+    suite.addCell("checkpoint-demo", workload, config.model,
+                  config.experiments, config.seed, "checkpoint-demo");
+    return suite.run().front();
+  };
 
   const std::string path = "/tmp/onebit_checkpoint_example.jsonl";
   std::remove(path.c_str());  // fresh demo store (never a user's store)
 
   // 1. Reference: the uninterrupted campaign.
-  const fi::CampaignResult reference =
-      fi::CampaignEngine(config).run(workload);
+  const fi::CampaignResult reference = run({.shardSize = kShardSize});
 
   // 2. "Interrupted" run: record shards to the store, stop partway. The
   // cap is derived from the actual shard count so the run stays a genuine
   // interruption whatever ONEBIT_EXPERIMENTS says.
   fi::CampaignStore store(path);
   store.load();
-  fi::CampaignConfig capped = config;
-  capped.maxShards =
-      std::max<std::size_t>(1, fi::CampaignEngine(config).shardCount() / 2);
-  fi::CampaignEngine interrupted(capped);
-  interrupted.recordTo(store, "checkpoint-demo");
-  const fi::CampaignResult partial = interrupted.run(workload);
+  const std::size_t shards = (config.experiments + kShardSize - 1) / kShardSize;
+  const fi::CampaignResult partial =
+      run({.shardSize = kShardSize,
+           .maxShards = std::max<std::size_t>(1, shards / 2),
+           .record = &store});
   std::printf("interrupted after %zu/%zu experiments (complete: %s)\n",
               partial.completedExperiments, config.experiments,
               partial.complete() ? "yes" : "no");
@@ -85,15 +92,14 @@ int main() {
     return 1;
   }
 
-  // 3. Resume: a fresh engine (fresh process, in real life) re-reads the
+  // 3. Resume: a fresh suite (fresh process, in real life) re-reads the
   // store, merges the recorded shards, and executes only the rest.
   fi::CampaignStore reopened(path);
   const fi::CampaignStore::LoadStats loaded = reopened.load();
   std::printf("store %s: %zu shard record(s) on disk\n", path.c_str(),
               loaded.shardRecords);
-  fi::CampaignEngine resumedEngine(config);
-  resumedEngine.resumeFrom(reopened).recordTo(reopened, "checkpoint-demo");
-  const fi::CampaignResult resumed = resumedEngine.run(workload);
+  const fi::CampaignResult resumed = run(
+      {.shardSize = kShardSize, .record = &reopened, .resume = &reopened});
   std::printf("resumed: %zu experiment(s) merged from the store, %zu "
               "executed\n",
               resumed.resumedExperiments,

@@ -3,7 +3,7 @@
 // around their own code generators.
 #include <cstdio>
 
-#include "fi/campaign.hpp"
+#include "fi/suite.hpp"
 #include "ir/builder.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"

@@ -3,12 +3,11 @@
 //
 //   ./multibit_sweep [program] [win-size]
 //   ONEBIT_EXPERIMENTS=1000 ./multibit_sweep crc32 1
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
-#include "fi/campaign.hpp"
-#include "fi/grid.hpp"
+#include "fi/suite.hpp"
 #include "progs/registry.hpp"
 #include "util/env.hpp"
 
@@ -28,24 +27,30 @@ int main(int argc, char** argv) {
   const auto n =
       static_cast<std::size_t>(util::envInt("ONEBIT_EXPERIMENTS", 400));
 
+  // All 18 campaigns run as one suite: their shards share one thread pool.
+  constexpr unsigned kMaxMbf[] = {1, 2, 3, 4, 5, 6, 8, 10, 30};
+  constexpr fi::FaultDomain kDomains[] = {fi::FaultDomain::RegisterRead,
+                                          fi::FaultDomain::RegisterWrite};
+  fi::CampaignSuite suite({.shardSize = util::envSize("ONEBIT_SHARD_SIZE")});
+  for (const fi::FaultDomain domain : kDomains) {
+    for (const unsigned m : kMaxMbf) {
+      const fi::FaultModel model =
+          m == 1 ? fi::FaultModel::singleBit(domain)
+                 : fi::FaultModel::multiBitTemporal(domain, m,
+                                                    fi::WinSize::fixed(win));
+      suite.addCell(model.label(), workload, model, n, 0xace0fba5eULL + m);
+    }
+  }
+  const std::vector<fi::CampaignResult> results = suite.run();
+
   std::printf("%s: SDC%% vs max-MBF at win-size=%llu (%zu experiments "
               "per campaign)\n\n",
               progName, static_cast<unsigned long long>(win), n);
   std::printf("%-16s %-8s %10s %10s\n", "technique", "max-MBF", "SDC%", "+/-");
-  for (const fi::FaultDomain domain :
-       {fi::FaultDomain::RegisterRead, fi::FaultDomain::RegisterWrite}) {
-    for (const unsigned m : {1U, 2U, 3U, 4U, 5U, 6U, 8U, 10U, 30U}) {
-      fi::CampaignConfig config;
-      config.model =
-          m == 1 ? fi::FaultModel::singleBit(domain)
-                 : fi::FaultModel::multiBitTemporal(domain, m,
-                                                    fi::WinSize::fixed(win));
-      config.experiments = n;
-      config.seed = 0xace0fba5eULL + m;
-      config.shardSize = static_cast<std::size_t>(
-          std::max<std::int64_t>(0, util::envInt("ONEBIT_SHARD_SIZE", 0)));
-      const fi::CampaignResult r = fi::CampaignEngine(config).run(workload);
-      const auto sdc = r.sdc();
+  std::size_t cell = 0;
+  for (const fi::FaultDomain domain : kDomains) {
+    for (const unsigned m : kMaxMbf) {
+      const auto sdc = results[cell++].sdc();
       std::printf("%-16s %-8u %9.2f%% %9.2f%%\n",
                   fi::domainName(domain).data(), m, sdc.fraction * 100.0,
                   sdc.ciHalfWidth * 100.0);

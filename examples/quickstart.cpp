@@ -5,7 +5,7 @@
 //   ONEBIT_EXPERIMENTS=2000 ./quickstart
 #include <cstdio>
 
-#include "fi/campaign.hpp"
+#include "fi/suite.hpp"
 #include "lang/compile.hpp"
 #include "util/env.hpp"
 
@@ -79,18 +79,20 @@ int main() {
          fi::runCampaign(workload, single));
 
   // 4. Multi bit-flip campaign: 3 flips, one dynamic instruction apart.
-  // Driven through CampaignEngine directly to show per-shard progress.
+  // Run as a one-cell CampaignSuite to show per-shard progress.
   fi::CampaignConfig multi;
   multi.model = fi::FaultModel::multiBitTemporal(fi::FaultDomain::RegisterWrite, 3,
                                        fi::WinSize::fixed(1));
   multi.experiments = n;
-  fi::CampaignEngine engine(multi);
-  engine.onShardDone([](const fi::ShardProgress& p) {
+  fi::CampaignSuite suite;
+  suite.addCell("multi-bit", workload, multi.model, multi.experiments,
+                multi.seed);
+  suite.onProgress([](const fi::SuiteProgress& p) {
     std::fprintf(stderr, "\rmulti-bit campaign: %zu/%zu experiments",
-                 p.completedExperiments, p.totalExperiments);
-    if (p.completedExperiments == p.totalExperiments)
+                 p.cellCompletedExperiments, p.cellTotalExperiments);
+    if (p.cellCompletedExperiments == p.cellTotalExperiments)
       std::fputc('\n', stderr);
   });
-  report("3 bit-flips (win-size 1), inject-on-write:", engine.run(workload));
+  report("3 bit-flips (win-size 1), inject-on-write:", suite.run().front());
   return 0;
 }

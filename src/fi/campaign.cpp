@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <thread>
-#include <utility>
-#include <vector>
 
-#include "fi/campaign_store.hpp"
-#include "fi/suite.hpp"
 #include "util/thread_pool.hpp"
 
 namespace onebit::fi {
@@ -46,66 +42,6 @@ std::size_t resolveShardSize(std::size_t experiments,
   constexpr std::size_t kTargetShards = 64;
   return std::clamp<std::size_t>(
       (experiments + kTargetShards - 1) / kTargetShards, 16, 4096);
-}
-
-CampaignEngine::CampaignEngine(CampaignConfig config)
-    : config_(std::move(config)) {
-  threads_ = resolveThreads(config_.threads);
-  shardSize_ = resolveShardSize(config_.experiments, config_.shardSize);
-}
-
-CampaignEngine& CampaignEngine::onShardDone(ProgressCallback cb) {
-  progress_ = std::move(cb);
-  return *this;
-}
-
-CampaignEngine& CampaignEngine::recordTo(CampaignStore& store,
-                                         std::string workloadName) {
-  record_ = &store;
-  recordWorkload_ = std::move(workloadName);
-  return *this;
-}
-
-CampaignEngine& CampaignEngine::resumeFrom(const CampaignStore& store) {
-  resume_ = &store;
-  return *this;
-}
-
-CampaignEngine& CampaignEngine::withStore(const StoreBinding& binding) {
-  if (binding.store == nullptr) return *this;
-  recordTo(*binding.store, binding.workload);
-  if (binding.resume) resumeFrom(*binding.store);
-  return *this;
-}
-
-std::size_t CampaignEngine::shardCount() const noexcept {
-  return (config_.experiments + shardSize_ - 1) / shardSize_;
-}
-
-CampaignResult CampaignEngine::run(const Workload& workload) const {
-  // A campaign is a single-cell suite: fi/suite.cpp owns the scheduler, the
-  // resume partition, and the shard execution loop, so solo and suite mode
-  // cannot drift apart.
-  SuiteConfig cfg;
-  cfg.threads = config_.threads;
-  cfg.shardSize = config_.shardSize;
-  cfg.maxShards = config_.maxShards;
-  cfg.pruning = config_.pruning;
-  cfg.record = record_;
-  cfg.resume = resume_;
-  CampaignSuite suite(cfg);
-  suite.addCell(SuiteCell{config_.model.label(), &workload, config_.model,
-                          config_.experiments, config_.seed, recordWorkload_});
-  if (progress_ != nullptr) suite.onShardDone(progress_);
-  std::vector<CampaignResult> results = suite.run();
-  CampaignResult result = std::move(results.front());
-  result.config = config_;  // preserve the caller's exact config verbatim
-  return result;
-}
-
-CampaignResult runCampaign(const Workload& workload,
-                           const CampaignConfig& config) {
-  return CampaignEngine(config).run(workload);
 }
 
 }  // namespace onebit::fi

@@ -161,25 +161,30 @@ struct ParsedShard {
 /// mangled record is worth less than a re-run shard.
 bool parseShardRecord(const util::Json& record, ParsedShard& out) {
   const util::Json* keyField = record.find("key");
-  const std::optional<std::uint64_t> key =
+  const std::optional<std::uint64_t> parsedKey =
       keyField != nullptr ? keyFromHex(keyField->asString()) : std::nullopt;
+  if (!parsedKey) return false;
+  const std::uint64_t key = *parsedKey;
   const std::uint64_t bad = ~0ULL;
   const std::uint64_t first = getUint(record, "first", bad);
   const std::uint64_t count = getUint(record, "count", bad);
   const std::uint64_t experiments = getUint(record, "experiments", bad);
   const util::Json* outcomes = record.find("outcomes");
   const util::Json* hist = record.find("hist");
-  if (!key || first == bad || count == bad || count == 0 ||
-      experiments == bad || first + count > experiments ||
+  // The range test is written so it cannot wrap: `first + count` overflows
+  // for a `first` near 2^64 and would pass a shard lying outside the
+  // campaign.
+  if (first == bad || count == bad || count == 0 || experiments == bad ||
+      count > experiments || first > experiments - count ||
       outcomes == nullptr || !stats::fromJson(*outcomes, out.agg.counts) ||
       hist == nullptr || !histFromJson(*hist, out.agg.hist) ||
       out.agg.counts.total() != count || histTotal(out.agg.hist) != count) {
     return false;
   }
-  out.key = *key;
+  out.key = key;
   out.first = static_cast<std::size_t>(first);
   out.count = static_cast<std::size_t>(count);
-  out.meta.key = *key;
+  out.meta.key = key;
   if (const util::Json* f = record.find("workload")) {
     out.meta.workload = std::string(f->asString());
   }

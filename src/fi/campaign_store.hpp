@@ -610,13 +610,4 @@ class CampaignStore {
   std::atomic<int> lastWriteErrno_{0};  ///< errno of the last failed append
 };
 
-/// How a campaign engine (or a driver built on one) should use a store:
-/// record newly completed shards, resume from recorded ones, or both.
-/// A default-constructed binding is inert.
-struct StoreBinding {
-  CampaignStore* store = nullptr;
-  bool resume = false;    ///< skip shards already recorded under this key
-  std::string workload;   ///< name stamped into new records
-};
-
 }  // namespace onebit::fi

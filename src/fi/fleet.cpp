@@ -220,7 +220,6 @@ std::optional<CampaignResult> FleetBroker::result(
   }
   result.config.experiments = cell.experiments;
   result.config.seed = cell.seed;
-  result.config.shardSize = cell.shardSize;
   // Merge in shard order, exactly like the suite's per-cell merge.
   for (std::size_t s = 0; s < cell.shardCount(); ++s) {
     const CampaignStore::ShardAggregate* agg = store_.findShard(
@@ -315,7 +314,7 @@ FleetWorker::CellExec* FleetWorker::resolve(
   exec->meta.seed = cell.seed;
   exec->meta.experiments = cell.experiments;
   exec->meta.candidates = exec->candidates;
-  if (config_.pruning && workload->pruningEnabled()) {
+  if (workload->pruningEnabled()) {
     exec->cache = std::make_unique<OutcomeCache>();
     const std::uint64_t cacheKey = CampaignStore::outcomeCacheKey(cell.key);
     exec->cache->warmFrom(store_, cacheKey);

@@ -101,10 +101,6 @@ struct FleetConfig {
   /// fleets; expiry alone is always sufficient. Disable for fleets spanning
   /// hosts, where foreign pids are meaningless.
   bool sameHostLiveness = true;
-  /// Run experiments with outcome-equivalence pruning when the resolved
-  /// workload carries a golden boundary-hash table (pure speedup; results
-  /// are bit-identical either way).
-  bool pruning = false;
   /// The fleet clock, milliseconds. Null uses util::wallClockMs. Tests
   /// inject a fake clock to make lease expiry deterministic.
   std::function<std::uint64_t()> clock;
@@ -119,7 +115,9 @@ struct FleetConfig {
   /// runFleet fills an unset resolver with the submitter's own workloads
   /// (see submitSuite). Whatever a resolver returns, the worker re-derives
   /// the cell's campaign key from it and refuses the cell on a mismatch. A
-  /// resolver returning null marks the cell unrunnable for this worker.
+  /// resolver returning null marks the cell unrunnable for this worker. A
+  /// cell prunes exactly when its resolved workload was built with
+  /// PrunePolicy.enabled (the registry resolver's never are).
   WorkloadResolver workloadResolver;
 
   [[nodiscard]] std::uint64_t resolvedHeartbeatMs() const noexcept {

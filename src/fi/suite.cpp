@@ -34,9 +34,9 @@ struct ShardAccumulator {
 };
 
 /// Per-cell execution plan: geometry, store metadata, shard slots, and the
-/// resumed/pending partition. Identical to what a solo CampaignEngine run
-/// computes for the same (spec, experiments, seed) — that is the whole
-/// suite-vs-solo bit-identity argument.
+/// resumed/pending partition. A function of the cell and the SuiteConfig
+/// alone — never of the other cells — which is the whole argument that a
+/// cell's result does not depend on the suite it runs in.
 struct CellPlan {
   const SuiteCell* cell = nullptr;
   std::uint64_t candidates = 0;
@@ -47,8 +47,8 @@ struct CellPlan {
   std::vector<unsigned char> resumed;
   std::vector<unsigned char> executed;
   std::vector<std::size_t> pending;
-  /// The cell's outcome-equivalence cache; null when pruning is off or the
-  /// cell's workload has no golden boundary-hash table.
+  /// The cell's outcome-equivalence cache; null unless the cell's workload
+  /// was built with PrunePolicy.enabled.
   std::unique_ptr<OutcomeCache> cache;
   std::size_t resumedExperiments = 0;
   // Progress-side counters, guarded by the suite's progress mutex.
@@ -81,12 +81,6 @@ std::size_t CampaignSuite::addCell(std::string label, const Workload& workload,
 
 CampaignSuite& CampaignSuite::onProgress(ProgressCallback cb) {
   progress_ = std::move(cb);
-  return *this;
-}
-
-CampaignSuite& CampaignSuite::onShardDone(
-    CampaignEngine::ProgressCallback cb) {
-  shardProgress_ = std::move(cb);
   return *this;
 }
 
@@ -128,7 +122,7 @@ std::vector<CampaignResult> CampaignSuite::run() const {
       plan.meta.experiments = n;
       plan.meta.candidates = plan.candidates;
     }
-    if (config_.pruning && cell.workload->pruningEnabled()) {
+    if (cell.workload->pruningEnabled()) {
       plan.cache = std::make_unique<OutcomeCache>();
       if (useStore) {
         const std::uint64_t cacheKey =
@@ -186,9 +180,9 @@ std::vector<CampaignResult> CampaignSuite::run() const {
     if (cell.experiments == 0) ++completedCells;
   }
   std::atomic<bool> storeWriteFailed{false};
-  const bool reporting = progress_ != nullptr || shardProgress_ != nullptr;
+  const bool reporting = progress_ != nullptr;
 
-  // Advance counters and fire both callbacks for one tallied shard.
+  // Advance counters and fire the callback for one tallied shard.
   // Callers hold progressMutex, so callbacks are serialized and the
   // counters are consistent.
   auto report = [&](std::size_t c, std::size_t s, bool resumedShard) {
@@ -201,23 +195,16 @@ std::vector<CampaignResult> CampaignSuite::run() const {
       suiteShortCircuited += plan.partial[s].prune.shortCircuited();
     }
     if (plan.completedExperiments == plan.cell->experiments) ++completedCells;
-    if (shardProgress_ != nullptr) {
-      shardProgress_(ShardProgress{s, plan.shards, plan.first(s), cnt,
-                                   plan.completedShards,
-                                   plan.completedExperiments,
-                                   plan.cell->experiments,
-                                   plan.partial[s].counts, resumedShard});
-    }
-    if (progress_ != nullptr) {
-      progress_(SuiteProgress{c, plan.cell->label, plan.completedExperiments,
-                              plan.cell->experiments, completedCells, nCells,
-                              suiteCompleted, suiteTotal, resumedShard,
-                              suiteShortCircuited});
-    }
+    progress_(SuiteProgress{c, plan.cell->label, plan.completedExperiments,
+                            plan.cell->experiments, completedCells, nCells,
+                            suiteCompleted, suiteTotal, resumedShard,
+                            suiteShortCircuited, s, plan.shards,
+                            plan.first(s), cnt, plan.completedShards,
+                            plan.partial[s].counts});
   };
 
   // Report resumed shards before starting fresh work: cell order, then
-  // shard order within the cell (the solo-engine convention).
+  // shard order within the cell.
   if (reporting) {
     std::lock_guard lock(progressMutex);
     for (std::size_t c = 0; c < nCells; ++c) {
@@ -303,13 +290,7 @@ std::vector<CampaignResult> CampaignSuite::run() const {
     const SuiteCell& cell = cells_[c];
     CellPlan& plan = plans[c];
     CampaignResult& result = results[c];
-    result.config.model = cell.model;
-    result.config.experiments = cell.experiments;
-    result.config.seed = cell.seed;
-    result.config.threads = config_.threads;
-    result.config.shardSize = config_.shardSize;
-    result.config.maxShards = config_.maxShards;
-    result.config.pruning = config_.pruning;
+    result.config = {cell.model, cell.experiments, cell.seed};
     result.resumedExperiments = plan.resumedExperiments;
     for (const std::size_t s : plan.pending) plan.executed[s] = 1;
     for (std::size_t s = 0; s < plan.shards; ++s) {
@@ -321,6 +302,15 @@ std::vector<CampaignResult> CampaignSuite::run() const {
     }
   }
   return results;
+}
+
+CampaignResult runCampaign(const Workload& workload,
+                           const CampaignConfig& config,
+                           const SuiteConfig& schedule) {
+  CampaignSuite suite(schedule);
+  suite.addCell(config.model.label(), workload, config.model,
+                config.experiments, config.seed);
+  return suite.run().front();
 }
 
 }  // namespace onebit::fi

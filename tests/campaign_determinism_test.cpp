@@ -1,4 +1,4 @@
-// Determinism and shard-aggregation tests for CampaignEngine: identical
+// Determinism and shard-aggregation tests for campaigns: identical
 // results for every threads/shard-size combination, and sharded merges that
 // match a serial flat-loop reference (the contract at the top of
 // fi/campaign.hpp).
@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "fi/campaign.hpp"
+#include "fi/suite.hpp"
 #include "lang/compile.hpp"
 
 namespace onebit::fi {
@@ -64,6 +64,15 @@ class CampaignDeterminismFixture : public ::testing::Test {
     return ref;
   }
 
+  /// One-cell suite over baseConfig() under `schedule`.
+  [[nodiscard]] CampaignSuite suite(const SuiteConfig& schedule) const {
+    const CampaignConfig config = baseConfig();
+    CampaignSuite s(schedule);
+    s.addCell("cell", *workload_, config.model, config.experiments,
+              config.seed);
+    return s;
+  }
+
   std::unique_ptr<Workload> workload_;
 };
 
@@ -75,10 +84,9 @@ TEST_F(CampaignDeterminismFixture,
   for (const std::size_t threads : {1u, 2u, 8u}) {
     for (const std::size_t shardSize : {std::size_t{1}, std::size_t{64},
                                         kExperiments}) {
-      CampaignConfig config = baseConfig();
-      config.threads = threads;
-      config.shardSize = shardSize;
-      const CampaignResult r = CampaignEngine(config).run(*workload_);
+      const CampaignResult r =
+          runCampaign(*workload_, baseConfig(),
+                      SuiteConfig{.threads = threads, .shardSize = shardSize});
       EXPECT_EQ(r.counts, ref.counts)
           << "threads=" << threads << " shardSize=" << shardSize;
       EXPECT_EQ(r.activationHist, ref.activationHist)
@@ -88,99 +96,91 @@ TEST_F(CampaignDeterminismFixture,
 }
 
 TEST_F(CampaignDeterminismFixture, AutoShardSizeMatchesExplicitSharding) {
-  CampaignConfig autoConfig = baseConfig();  // shardSize = 0 → heuristic
-  autoConfig.threads = 4;
-  const CampaignResult a = CampaignEngine(autoConfig).run(*workload_);
+  // shardSize = 0 → heuristic
+  const CampaignResult a =
+      runCampaign(*workload_, baseConfig(), SuiteConfig{.threads = 4});
   const CampaignResult ref = flatLoopReference(baseConfig());
   EXPECT_EQ(a.counts, ref.counts);
   EXPECT_EQ(a.activationHist, ref.activationHist);
 }
 
 TEST_F(CampaignDeterminismFixture, RepeatedRunsAreBitIdentical) {
-  CampaignConfig config = baseConfig();
-  config.threads = 8;
-  config.shardSize = 16;
-  CampaignEngine engine(config);
-  const CampaignResult a = engine.run(*workload_);
-  const CampaignResult b = engine.run(*workload_);
+  const CampaignSuite s = suite(SuiteConfig{.threads = 8, .shardSize = 16});
+  const CampaignResult a = s.run().front();
+  const CampaignResult b = s.run().front();
   EXPECT_EQ(a.counts, b.counts);
   EXPECT_EQ(a.activationHist, b.activationHist);
 }
 
 TEST_F(CampaignDeterminismFixture, MergedShardTalliesEqualFinalResult) {
-  CampaignConfig config = baseConfig();
-  config.threads = 4;
-  config.shardSize = 32;
-
   stats::OutcomeCounts mergedFromShards;
   std::atomic<std::size_t> shardsSeen{0};
-  CampaignEngine engine(config);
-  engine.onShardDone([&](const ShardProgress& p) {
+  std::size_t shardCount = 0;
+  CampaignSuite s = suite(SuiteConfig{.threads = 4, .shardSize = 32});
+  s.onProgress([&](const SuiteProgress& p) {
     // Callbacks are serialized, so plain merge is safe here.
     mergedFromShards.merge(p.shardCounts);
     EXPECT_EQ(p.shardCounts.total(), p.shardExperiments);
     ++shardsSeen;
+    shardCount = p.shardCount;
   });
-  const CampaignResult r = engine.run(*workload_);
+  const CampaignResult r = s.run().front();
 
-  EXPECT_EQ(shardsSeen.load(), engine.shardCount());
+  EXPECT_EQ(shardCount, (kExperiments + 31) / 32);
+  EXPECT_EQ(shardsSeen.load(), shardCount);
   EXPECT_EQ(mergedFromShards, r.counts);
   EXPECT_EQ(r.counts, flatLoopReference(baseConfig()).counts);
 }
 
 TEST_F(CampaignDeterminismFixture, ProgressReportsEveryShardExactlyOnce) {
-  CampaignConfig config = baseConfig();
-  config.threads = 8;
-  config.shardSize = 1;  // maximum shard count: one experiment per shard
-
-  CampaignEngine engine(config);
-  ASSERT_EQ(engine.shardCount(), kExperiments);
-  std::vector<int> hits(engine.shardCount(), 0);
+  // shardSize 1: maximum shard count, one experiment per shard.
+  CampaignSuite s = suite(SuiteConfig{.threads = 8, .shardSize = 1});
+  std::vector<int> hits(kExperiments, 0);
   std::size_t lastCompleted = 0;
-  engine.onShardDone([&](const ShardProgress& p) {
+  s.onProgress([&](const SuiteProgress& p) {
     ASSERT_LT(p.shardIndex, hits.size());
     ++hits[p.shardIndex];
     EXPECT_EQ(p.shardCount, kExperiments);
     EXPECT_EQ(p.shardExperiments, 1u);
     EXPECT_EQ(p.firstExperiment, p.shardIndex);
-    EXPECT_EQ(p.totalExperiments, kExperiments);
-    EXPECT_GT(p.completedExperiments, lastCompleted);
-    lastCompleted = p.completedExperiments;
+    EXPECT_EQ(p.cellTotalExperiments, kExperiments);
+    EXPECT_GT(p.cellCompletedExperiments, lastCompleted);
+    lastCompleted = p.cellCompletedExperiments;
   });
-  engine.run(*workload_);
+  (void)s.run();
   for (const int h : hits) EXPECT_EQ(h, 1);
   EXPECT_EQ(lastCompleted, kExperiments);
 }
 
 TEST_F(CampaignDeterminismFixture, ZeroExperimentsYieldEmptyResult) {
-  CampaignConfig config = baseConfig();
-  config.experiments = 0;
   bool progressFired = false;
-  CampaignEngine engine(config);
-  engine.onShardDone([&](const ShardProgress&) { progressFired = true; });
-  const CampaignResult r = engine.run(*workload_);
+  CampaignSuite s;
+  s.addCell("empty", *workload_, baseConfig().model, 0, baseConfig().seed);
+  s.onProgress([&](const SuiteProgress&) { progressFired = true; });
+  const CampaignResult r = s.run().front();
   EXPECT_EQ(r.counts.total(), 0u);
   EXPECT_FALSE(progressFired);
 }
 
 TEST_F(CampaignDeterminismFixture, OversizedShardIsClampedToCampaign) {
-  CampaignConfig config = baseConfig();
-  config.shardSize = kExperiments * 10;
-  CampaignEngine engine(config);
-  EXPECT_EQ(engine.shardSize(), kExperiments);
-  EXPECT_EQ(engine.shardCount(), 1u);
-  const CampaignResult r = engine.run(*workload_);
+  EXPECT_EQ(resolveShardSize(kExperiments, kExperiments * 10), kExperiments);
+  std::size_t shardCount = 0;
+  CampaignSuite s = suite(SuiteConfig{.shardSize = kExperiments * 10});
+  s.onProgress([&](const SuiteProgress& p) { shardCount = p.shardCount; });
+  const CampaignResult r = s.run().front();
+  EXPECT_EQ(shardCount, 1u);
   EXPECT_EQ(r.counts, flatLoopReference(baseConfig()).counts);
 }
 
 TEST_F(CampaignDeterminismFixture, MaxShardSizeDoesNotOverflowShardCount) {
   // shardSize == SIZE_MAX must not wrap `experiments + shardSize - 1` to a
   // shard count of 0 (which would silently run zero experiments).
-  CampaignConfig config = baseConfig();
-  config.shardSize = std::numeric_limits<std::size_t>::max();
-  CampaignEngine engine(config);
-  EXPECT_EQ(engine.shardCount(), 1u);
-  EXPECT_EQ(engine.run(*workload_).counts.total(), kExperiments);
+  std::size_t shardCount = 0;
+  CampaignSuite s = suite(
+      SuiteConfig{.shardSize = std::numeric_limits<std::size_t>::max()});
+  s.onProgress([&](const SuiteProgress& p) { shardCount = p.shardCount; });
+  EXPECT_EQ(s.run().front().counts.total(), kExperiments);
+  EXPECT_EQ(shardCount, 1u);
 }
 
 TEST(CampaignHistogram, MergeHistogramAccumulatesElementWise) {

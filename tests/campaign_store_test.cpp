@@ -1,4 +1,4 @@
-// Checkpoint/resume tests for CampaignStore + CampaignEngine: round-trip
+// Checkpoint/resume tests for CampaignStore + CampaignSuite: round-trip
 // through the JSONL store, torn-last-line tolerance, campaign-key mismatch
 // isolation, and the headline guarantee — a campaign interrupted after k
 // shards and resumed from its store is bit-identical to an uninterrupted
@@ -15,8 +15,8 @@
 
 #include <gtest/gtest.h>
 
-#include "fi/campaign.hpp"
 #include "fi/campaign_store.hpp"
+#include "fi/suite.hpp"
 #include "lang/compile.hpp"
 
 namespace onebit::fi {
@@ -57,14 +57,29 @@ class CampaignStoreFixture : public ::testing::Test {
     config.model = FaultModel::multiBitTemporal(FaultDomain::RegisterWrite, 3, WinSize::fixed(2));
     config.experiments = kExperiments;
     config.seed = 0xd5e7e2414157ULL;
-    config.shardSize = kShardSize;
     return config;
   }
 
+  /// baseConfig() as a one-cell suite under `schedule`, its shard size
+  /// pinned to kShardSize; `storeName` is stamped into recorded shards.
+  CampaignSuite suite(SuiteConfig schedule, std::string storeName = {},
+                      const Workload* workload = nullptr) const {
+    schedule.shardSize = kShardSize;
+    const CampaignConfig config = baseConfig();
+    CampaignSuite s(schedule);
+    s.addCell("guinea-pig", workload != nullptr ? *workload : *workload_,
+              config.model, config.experiments, config.seed,
+              std::move(storeName));
+    return s;
+  }
+
+  CampaignResult run(const SuiteConfig& schedule, std::string storeName = {},
+                     const Workload* workload = nullptr) const {
+    return suite(schedule, std::move(storeName), workload).run().front();
+  }
+
   CampaignResult uninterrupted(std::size_t threads = 1) const {
-    CampaignConfig config = baseConfig();
-    config.threads = threads;
-    return CampaignEngine(config).run(*workload_);
+    return run({.threads = threads});
   }
 
   std::unique_ptr<Workload> workload_;
@@ -74,10 +89,7 @@ class CampaignStoreFixture : public ::testing::Test {
 TEST_F(CampaignStoreFixture, RecordedShardsRoundTripThroughDisk) {
   {
     CampaignStore store(path_);
-    CampaignConfig config = baseConfig();
-    CampaignEngine engine(config);
-    engine.recordTo(store, "guinea-pig");
-    engine.run(*workload_);
+    run({.record = &store}, "guinea-pig");
   }
   CampaignStore reopened(path_);
   const CampaignStore::LoadStats stats = reopened.load();
@@ -87,9 +99,7 @@ TEST_F(CampaignStoreFixture, RecordedShardsRoundTripThroughDisk) {
 
   // Resuming from the reopened store must execute nothing and reproduce the
   // full result from records alone.
-  CampaignEngine resumed(baseConfig());
-  resumed.resumeFrom(reopened);
-  const CampaignResult r = resumed.run(*workload_);
+  const CampaignResult r = run({.resume = &reopened});
   const CampaignResult ref = uninterrupted();
   EXPECT_EQ(r.resumedExperiments, kExperiments);
   EXPECT_EQ(r.completedExperiments, kExperiments);
@@ -110,22 +120,16 @@ TEST_F(CampaignStoreFixture, ResumeEqualsUninterruptedAcrossThreads) {
       std::remove(path.c_str());
       {
         CampaignStore store(path);
-        CampaignConfig capped = baseConfig();
-        capped.threads = interruptThreads;
-        capped.maxShards = 4;  // "killed" after 4 of 10 shards
-        CampaignEngine engine(capped);
-        engine.recordTo(store);
-        const CampaignResult partial = engine.run(*workload_);
+        // "killed" after 4 of 10 shards
+        const CampaignResult partial = run(
+            {.threads = interruptThreads, .maxShards = 4, .record = &store});
         EXPECT_FALSE(partial.complete());
         EXPECT_EQ(partial.completedExperiments, 4 * kShardSize);
       }
       CampaignStore store(path);
       store.load();
-      CampaignConfig config = baseConfig();
-      config.threads = resumeThreads;
-      CampaignEngine engine(config);
-      engine.resumeFrom(store).recordTo(store);
-      const CampaignResult resumed = engine.run(*workload_);
+      const CampaignResult resumed = run(
+          {.threads = resumeThreads, .record = &store, .resume = &store});
       std::remove(path.c_str());
 
       EXPECT_TRUE(resumed.complete());
@@ -146,11 +150,7 @@ TEST_F(CampaignStoreFixture, RepeatedCappedRunsDrainTheCampaign) {
   store.load();
   CampaignResult last;
   for (int round = 0; round < 3; ++round) {
-    CampaignConfig config = baseConfig();
-    config.maxShards = 4;
-    CampaignEngine engine(config);
-    engine.resumeFrom(store).recordTo(store);
-    last = engine.run(*workload_);
+    last = run({.maxShards = 4, .record = &store, .resume = &store});
   }
   EXPECT_TRUE(last.complete());  // 4 + 4 + 2 shards
   const CampaignResult ref = uninterrupted();
@@ -161,11 +161,7 @@ TEST_F(CampaignStoreFixture, RepeatedCappedRunsDrainTheCampaign) {
 TEST_F(CampaignStoreFixture, TruncatedLastLineIsToleratedOnResume) {
   {
     CampaignStore store(path_);
-    CampaignConfig capped = baseConfig();
-    capped.maxShards = 4;
-    CampaignEngine engine(capped);
-    engine.recordTo(store);
-    engine.run(*workload_);
+    run({.maxShards = 4, .record = &store});
   }
   {
     // Kill-mid-write: append half a record with no trailing newline.
@@ -179,9 +175,7 @@ TEST_F(CampaignStoreFixture, TruncatedLastLineIsToleratedOnResume) {
   EXPECT_EQ(stats.shardRecords, 4u);
   EXPECT_EQ(stats.malformed, 1u);
 
-  CampaignEngine engine(baseConfig());
-  engine.resumeFrom(store);
-  const CampaignResult resumed = engine.run(*workload_);
+  const CampaignResult resumed = run({.resume = &store});
   const CampaignResult ref = uninterrupted();
   EXPECT_EQ(resumed.resumedExperiments, 4 * kShardSize);
   EXPECT_EQ(resumed.counts, ref.counts);
@@ -209,12 +203,36 @@ TEST_F(CampaignStoreFixture, IntegrityFailingRecordsAreRejected) {
   EXPECT_EQ(store.findShard(1, 0, 10), nullptr);
 }
 
+TEST_F(CampaignStoreFixture, ShardRangeWrappingPastTwoToThe64IsRejected) {
+  // `first + count` wraps to 8, inside the 32-experiment campaign, but the
+  // range starts far past its end: an integrity failure, never a shard
+  // that tallies a campaign to 150%.
+  {
+    std::FILE* f = std::fopen(path_.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs(
+        "{\"v\":1,\"kind\":\"shard\",\"key\":\"0x00000000000000ab\","
+        "\"spec\":\"read/single\",\"seed\":\"0x0000000000000001\","
+        "\"experiments\":32,\"candidates\":10,\"shard\":0,"
+        "\"first\":18446744073709551608,\"count\":16,"
+        "\"outcomes\":[16,0,0,0,0],\"hist\":[[0,0,16]]}\n",
+        f);
+    std::fclose(f);
+  }
+  const auto check = CampaignStore::fsck(path_, /*repair=*/false);
+  ASSERT_TRUE(check.has_value());
+  EXPECT_EQ(check->integrityFailures, 1u);
+  EXPECT_TRUE(check->corrupt());
+  CampaignStore store(path_);
+  const CampaignStore::LoadStats stats = store.load();
+  EXPECT_EQ(stats.shardRecords, 0u);
+  EXPECT_EQ(stats.malformed, 1u);
+}
+
 TEST_F(CampaignStoreFixture, CampaignKeyMismatchResumesNothing) {
   {
     CampaignStore store(path_);
-    CampaignEngine engine(baseConfig());
-    engine.recordTo(store);
-    engine.run(*workload_);  // full campaign recorded under seed A
+    run({.record = &store});  // full campaign recorded under seed A
   }
   CampaignStore store(path_);
   EXPECT_EQ(store.load().shardRecords, kExperiments / kShardSize);
@@ -224,36 +242,33 @@ TEST_F(CampaignStoreFixture, CampaignKeyMismatchResumesNothing) {
   // result from scratch.
   CampaignConfig other = baseConfig();
   other.seed ^= 1;
-  CampaignEngine engine(other);
-  engine.resumeFrom(store);
-  const CampaignResult r = engine.run(*workload_);
+  const CampaignResult r = runCampaign(
+      *workload_, other, {.shardSize = kShardSize, .resume = &store});
   EXPECT_EQ(r.resumedExperiments, 0u);
   EXPECT_TRUE(r.complete());
-  const CampaignResult ref = CampaignEngine(other).run(*workload_);
+  const CampaignResult ref =
+      runCampaign(*workload_, other, {.shardSize = kShardSize});
   EXPECT_EQ(r.counts, ref.counts);
 
   // Changing the fault spec (flip width) must also change the key.
   CampaignConfig narrower = baseConfig();
   narrower.model.flipWidth = 32;
-  CampaignEngine narrowEngine(narrower);
-  narrowEngine.resumeFrom(store);
-  EXPECT_EQ(narrowEngine.run(*workload_).resumedExperiments, 0u);
+  EXPECT_EQ(runCampaign(*workload_, narrower,
+                        {.shardSize = kShardSize, .resume = &store})
+                .resumedExperiments,
+            0u);
 }
 
 TEST_F(CampaignStoreFixture, DifferentShardGeometryIsIgnoredSafely) {
   {
     CampaignStore store(path_);
-    CampaignEngine engine(baseConfig());  // shardSize 24
-    engine.recordTo(store);
-    engine.run(*workload_);
+    run({.record = &store});  // shardSize 24
   }
   CampaignStore store(path_);
   store.load();
-  CampaignConfig other = baseConfig();
-  other.shardSize = 60;  // ranges never line up with the recorded ones
-  CampaignEngine engine(other);
-  engine.resumeFrom(store);
-  const CampaignResult r = engine.run(*workload_);
+  // Shard size 60: ranges never line up with the recorded ones.
+  const CampaignResult r =
+      runCampaign(*workload_, baseConfig(), {.shardSize = 60, .resume = &store});
   EXPECT_EQ(r.resumedExperiments, 0u);  // no partial/overlapping reuse
   const CampaignResult ref = uninterrupted();
   EXPECT_EQ(r.counts, ref.counts);
@@ -263,20 +278,15 @@ TEST_F(CampaignStoreFixture, DifferentShardGeometryIsIgnoredSafely) {
 TEST_F(CampaignStoreFixture, ProgressReportsResumedShardsFirst) {
   {
     CampaignStore store(path_);
-    CampaignConfig capped = baseConfig();
-    capped.maxShards = 4;
-    CampaignEngine engine(capped);
-    engine.recordTo(store);
-    engine.run(*workload_);
+    run({.maxShards = 4, .record = &store});
   }
   CampaignStore store(path_);
   store.load();
-  CampaignEngine engine(baseConfig());
-  engine.resumeFrom(store);
+  CampaignSuite resuming = suite({.resume = &store});
   std::size_t resumedSeen = 0;
   std::size_t executedSeen = 0;
   bool executedBeforeResumed = false;
-  engine.onShardDone([&](const ShardProgress& p) {
+  resuming.onProgress([&](const SuiteProgress& p) {
     if (p.resumed) {
       ++resumedSeen;
       if (executedSeen != 0) executedBeforeResumed = true;
@@ -285,7 +295,7 @@ TEST_F(CampaignStoreFixture, ProgressReportsResumedShardsFirst) {
     }
     EXPECT_EQ(p.shardCount, kExperiments / kShardSize);
   });
-  engine.run(*workload_);
+  (void)resuming.run();
   EXPECT_EQ(resumedSeen, 4u);
   EXPECT_EQ(executedSeen, kExperiments / kShardSize - 4);
   EXPECT_FALSE(executedBeforeResumed);
@@ -293,12 +303,10 @@ TEST_F(CampaignStoreFixture, ProgressReportsResumedShardsFirst) {
 
 TEST_F(CampaignStoreFixture, SameInstanceReRecordSkipsKnownShards) {
   CampaignStore store(path_);
-  CampaignConfig capped = baseConfig();
-  capped.maxShards = 2;
-  CampaignEngine(capped).recordTo(store).run(*workload_);
+  run({.maxShards = 2, .record = &store});
   // Re-running without resume re-executes the shards, but the store knows
   // them already and must not append duplicate lines.
-  CampaignEngine(capped).recordTo(store).run(*workload_);
+  run({.maxShards = 2, .record = &store});
 
   CampaignStore reopened(path_);
   const CampaignStore::LoadStats stats = reopened.load();
@@ -310,21 +318,17 @@ TEST_F(CampaignStoreFixture, DuplicateRecordsOnDiskAreCountedAndFirstWins) {
   {
     // Two writers that never saw each other's index (separate processes in
     // real life): the file ends up with duplicate shard lines.
-    CampaignConfig capped = baseConfig();
-    capped.maxShards = 2;
     CampaignStore first(path_);
-    CampaignEngine(capped).recordTo(first).run(*workload_);
+    run({.maxShards = 2, .record = &first});
     CampaignStore second(path_);  // not load()ed — blind to first's records
-    CampaignEngine(capped).recordTo(second).run(*workload_);
+    run({.maxShards = 2, .record = &second});
   }
   CampaignStore store(path_);
   const CampaignStore::LoadStats stats = store.load();
   EXPECT_EQ(stats.shardRecords, 2u);
   EXPECT_EQ(stats.duplicates, 2u);
 
-  CampaignEngine engine(baseConfig());
-  engine.resumeFrom(store);
-  const CampaignResult r = engine.run(*workload_);
+  const CampaignResult r = run({.resume = &store});
   const CampaignResult ref = uninterrupted();
   EXPECT_EQ(r.resumedExperiments, 2 * kShardSize);
   EXPECT_EQ(r.counts, ref.counts);
@@ -363,7 +367,7 @@ TEST_F(CampaignStoreFixture, DifferentWorkloadNeverResumesForeignShards) {
   // differs, so the second workload must not inherit the first's records.
   {
     CampaignStore store(path_);
-    CampaignEngine(baseConfig()).recordTo(store).run(*workload_);
+    run({.record = &store});
   }
   const Workload other(lang::compileMiniC(R"MC(
 int main() { print_s("other\n"); return 0; }
@@ -371,30 +375,25 @@ int main() { print_s("other\n"); return 0; }
   ASSERT_NE(other.fingerprint(), workload_->fingerprint());
   CampaignStore store(path_);
   store.load();
-  CampaignEngine engine(baseConfig());
-  engine.resumeFrom(store);
-  EXPECT_EQ(engine.run(other).resumedExperiments, 0u);
+  EXPECT_EQ(run({.resume = &store}, {}, &other).resumedExperiments, 0u);
 
   // A different hang budget changes outcome classification, so it must
   // also change the fingerprint (and therefore the campaign key).
   const Workload tightBudget(lang::compileMiniC(kGuineaPig),
                              /*hangFactor=*/2);
   ASSERT_NE(tightBudget.fingerprint(), workload_->fingerprint());
-  CampaignEngine budgetEngine(baseConfig());
-  budgetEngine.resumeFrom(store);
-  EXPECT_EQ(budgetEngine.run(tightBudget).resumedExperiments, 0u);
+  EXPECT_EQ(run({.resume = &store}, {}, &tightBudget).resumedExperiments,
+            0u);
 }
 
 TEST_F(CampaignStoreFixture, CompactDropsDuplicatesAndTornLines) {
   {
     // Two blind writers produce duplicate shard lines (as in the duplicate
     // test above), then the second writer dies mid-record.
-    CampaignConfig capped = baseConfig();
-    capped.maxShards = 3;
     CampaignStore first(path_);
-    CampaignEngine(capped).recordTo(first).run(*workload_);
+    run({.maxShards = 3, .record = &first});
     CampaignStore second(path_);
-    CampaignEngine(capped).recordTo(second).run(*workload_);
+    run({.maxShards = 3, .record = &second});
     std::FILE* f = std::fopen(path_.c_str(), "ab");
     ASSERT_NE(f, nullptr);
     std::fputs("{\"v\":1,\"kind\":\"shard\",\"key\":\"0x12", f);
@@ -413,8 +412,7 @@ TEST_F(CampaignStoreFixture, CompactDropsDuplicatesAndTornLines) {
   EXPECT_EQ(loaded.shardRecords, 3u);
   EXPECT_EQ(loaded.duplicates, 0u);
   EXPECT_EQ(loaded.malformed, 0u);
-  const CampaignResult r =
-      CampaignEngine(baseConfig()).resumeFrom(store).run(*workload_);
+  const CampaignResult r = run({.resume = &store});
   const CampaignResult ref = uninterrupted();
   EXPECT_EQ(r.resumedExperiments, 3 * kShardSize);
   EXPECT_EQ(r.counts, ref.counts);
@@ -424,7 +422,7 @@ TEST_F(CampaignStoreFixture, CompactDropsDuplicatesAndTornLines) {
 TEST_F(CampaignStoreFixture, CompactLeavesCanonicalFilesUntouched) {
   {
     CampaignStore store(path_);
-    CampaignEngine(baseConfig()).recordTo(store, "guinea-pig").run(*workload_);
+    run({.record = &store}, "guinea-pig");
   }
   std::string before;
   {
@@ -490,12 +488,10 @@ TEST_F(CampaignStoreFixture, CompactIgnoresAStaleTempFromAKilledRun) {
     // Duplicates (so compact() actually rewrites) plus a stale temp file
     // left by a compaction killed before its rename: the stale lines must
     // NOT leak into the rewritten store (JsonlWriter appends).
-    CampaignConfig capped = baseConfig();
-    capped.maxShards = 2;
     CampaignStore first(path_);
-    CampaignEngine(capped).recordTo(first).run(*workload_);
+    run({.maxShards = 2, .record = &first});
     CampaignStore second(path_);
-    CampaignEngine(capped).recordTo(second).run(*workload_);
+    run({.maxShards = 2, .record = &second});
     std::FILE* f = std::fopen((path_ + ".compact.tmp").c_str(), "wb");
     ASSERT_NE(f, nullptr);
     std::fputs("{\"v\":1,\"kind\":\"workload\",\"name\":\"stale-ghost\"}\n", f);
@@ -869,7 +865,7 @@ TEST_F(CampaignStoreFixture, LeaseCostSurvivesTheRoundTripOnlyWhenStamped) {
 TEST_F(CampaignStoreFixture, FsckLeavesACleanStoreUntouched) {
   {
     CampaignStore store(path_);
-    CampaignEngine(baseConfig()).recordTo(store, "guinea-pig").run(*workload_);
+    run({.record = &store}, "guinea-pig");
   }
   std::string before;
   {
@@ -911,7 +907,7 @@ class CampaignStoreFsckFixture : public CampaignStoreFixture {
       const std::function<void(std::vector<std::string>&)>& mutate) {
     {
       CampaignStore store(path_);
-      CampaignEngine(baseConfig()).recordTo(store).run(*workload_);
+      run({.record = &store});
     }
     std::vector<std::string> lines;
     {
@@ -948,9 +944,7 @@ class CampaignStoreFsckFixture : public CampaignStoreFixture {
     EXPECT_EQ(loaded.shardRecords, intactShards);
     EXPECT_EQ(loaded.malformed, 0u);
     EXPECT_EQ(loaded.duplicates, 0u);
-    CampaignEngine engine(baseConfig());
-    engine.resumeFrom(store);
-    const CampaignResult r = engine.run(*workload_);
+    const CampaignResult r = run({.resume = &store});
     const CampaignResult ref = uninterrupted();
     EXPECT_EQ(r.resumedExperiments, intactShards * kShardSize);
     EXPECT_EQ(r.counts, ref.counts);

@@ -1,7 +1,7 @@
 // Tests for outcome classification, experiments and campaigns.
 #include <gtest/gtest.h>
 
-#include "fi/campaign.hpp"
+#include "fi/suite.hpp"
 #include "lang/compile.hpp"
 
 namespace onebit::fi {
@@ -159,37 +159,27 @@ TEST_F(CampaignFixture, ThreadCountDoesNotChangeResults) {
   config.model = FaultModel::multiBitTemporal(FaultDomain::RegisterWrite, 2, WinSize::fixed(1));
   config.experiments = 150;
   config.seed = 777;
-  config.threads = 1;
-  const CampaignResult serial = runCampaign(*workload_, config);
-  config.threads = 4;
-  const CampaignResult parallel = runCampaign(*workload_, config);
+  const CampaignResult serial =
+      runCampaign(*workload_, config, SuiteConfig{.threads = 1});
+  const CampaignResult parallel =
+      runCampaign(*workload_, config, SuiteConfig{.threads = 4});
   for (unsigned i = 0; i < stats::kOutcomeCount; ++i) {
     const auto o = static_cast<Outcome>(i);
     EXPECT_EQ(serial.counts.count(o), parallel.counts.count(o));
   }
 }
 
-TEST_F(CampaignFixture, EngineResolvesShardingParameters) {
-  CampaignConfig config;
-  config.model = FaultModel::singleBit(FaultDomain::RegisterRead);
-  config.experiments = 100;
-  config.threads = 2;
-  config.shardSize = 30;
-  const CampaignEngine engine(config);
-  EXPECT_EQ(engine.threads(), 2u);
-  EXPECT_EQ(engine.shardSize(), 30u);
-  EXPECT_EQ(engine.shardCount(), 4u);  // 30+30+30+10
-}
-
-TEST_F(CampaignFixture, EngineMatchesRunCampaignWrapper) {
-  CampaignConfig config;
-  config.model = FaultModel::singleBit(FaultDomain::RegisterWrite);
-  config.experiments = 200;
-  config.seed = 4242;
-  const CampaignResult viaWrapper = runCampaign(*workload_, config);
-  const CampaignResult viaEngine = CampaignEngine(config).run(*workload_);
-  EXPECT_EQ(viaWrapper.counts, viaEngine.counts);
-  EXPECT_EQ(viaWrapper.activationHist, viaEngine.activationHist);
+TEST_F(CampaignFixture, SuiteResolvesShardingParameters) {
+  EXPECT_EQ(resolveThreads(2), 2u);
+  EXPECT_EQ(resolveShardSize(100, 30), 30u);
+  CampaignSuite suite(SuiteConfig{.threads = 2, .shardSize = 30});
+  suite.addCell("cell", *workload_,
+                FaultModel::singleBit(FaultDomain::RegisterRead), 100, 1);
+  std::size_t shardCount = 0;
+  suite.onProgress(
+      [&](const SuiteProgress& p) { shardCount = p.shardCount; });
+  (void)suite.run();
+  EXPECT_EQ(shardCount, 4u);  // 30+30+30+10
 }
 
 TEST_F(CampaignFixture, DifferentSeedsGiveDifferentSamples) {

@@ -19,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "fi/campaign.hpp"
 #include "fi/campaign_store.hpp"
 #include "fi/suite.hpp"
 #include "lang/compile.hpp"
@@ -144,7 +143,6 @@ TEST(DispatchEquivalence, CellsBitIdenticalAcrossBackendThreadsSnapshotsPrune) {
           const WorkloadSet set = buildWorkloads(backend, snapshots, prune);
           SuiteConfig cfg;
           cfg.threads = threads;
-          cfg.pruning = prune;
           CampaignSuite suite(cfg);
           addCells(suite, set);
           const std::vector<CampaignResult> got = suite.run();

@@ -111,12 +111,9 @@ class SupervisorFixture : public ::testing::Test {
   }
 
   [[nodiscard]] CampaignResult solo(const CellSpec& cell) const {
-    CampaignConfig config;
-    config.model = cell.model;
-    config.experiments = cell.experiments;
-    config.seed = cell.seed;
-    config.threads = 1;
-    return runCampaign(workloadOf(cell), config);
+    return runCampaign(workloadOf(cell),
+                       {cell.model, cell.experiments, cell.seed},
+                       SuiteConfig{.threads = 1});
   }
 
   [[nodiscard]] CampaignSuite makeSuite(const std::vector<CellSpec>& cells,

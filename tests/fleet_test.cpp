@@ -182,12 +182,9 @@ class FleetFixture : public ::testing::Test {
   }
 
   [[nodiscard]] CampaignResult solo(const CellSpec& cell) const {
-    CampaignConfig config;
-    config.model = cell.model;
-    config.experiments = cell.experiments;
-    config.seed = cell.seed;
-    config.threads = 1;
-    return runCampaign(workloadOf(cell), config);
+    return runCampaign(workloadOf(cell),
+                       {cell.model, cell.experiments, cell.seed},
+                       SuiteConfig{.threads = 1});
   }
 
   [[nodiscard]] CampaignSuite makeSuite(const std::vector<CellSpec>& cells,
@@ -550,12 +547,10 @@ TEST_F(FleetFixture, PrunedFleetShardRecordsAreByteIdenticalToSoloRecords) {
   const std::vector<CellSpec> cells = mixedCells();
   SuiteConfig config;
   config.shardSize = 16;
-  config.pruning = true;
   {
     LocalFleetOptions options;
     options.workers = 2;
     options.config.pollMs = 2;
-    options.config.pruning = true;
     (void)runFleet(makeSuite(cells, config), config, path_, options);
   }
   expectWorkersRanEveryShard(path_);

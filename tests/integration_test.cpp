@@ -2,8 +2,8 @@
 // compile -> profile -> inject -> classify pipeline.
 #include <gtest/gtest.h>
 
-#include "fi/campaign.hpp"
 #include "fi/grid.hpp"
+#include "fi/suite.hpp"
 #include "progs/registry.hpp"
 #include "pruning/transition_study.hpp"
 

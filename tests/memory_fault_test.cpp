@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include "fi/campaign.hpp"
 #include "fi/campaign_store.hpp"
 #include "fi/grid.hpp"
+#include "fi/suite.hpp"
 #include "lang/compile.hpp"
 
 namespace onebit::fi {
@@ -174,16 +174,15 @@ TEST(MemoryInjector, DeterministicGivenPlan) {
   EXPECT_EQ(a.instructions, b.instructions);
 }
 
-/// One campaign result for the given engine geometry.
+/// One campaign result for the given suite geometry.
 CampaignResult runGeometry(const Workload& w, const FaultModel& model,
                            std::size_t threads, std::size_t shardSize) {
   CampaignConfig config;
   config.model = model;
   config.experiments = 300;
   config.seed = 0x3e3e;
-  config.threads = threads;
-  config.shardSize = shardSize;
-  return runCampaign(w, config);
+  return runCampaign(w, config,
+                     SuiteConfig{.threads = threads, .shardSize = shardSize});
 }
 
 TEST(MemoryCampaign, DeterministicAcrossThreadsAndShardSizes) {
@@ -256,18 +255,17 @@ TEST(MemoryCampaign, ResumesThroughTheStore) {
   config.model = FaultModel::burstAdjacent(FaultDomain::MemoryData, 2);
   config.experiments = 240;
   config.seed = 0x5707e;
-  config.threads = 2;
-  config.shardSize = 30;
+  const SuiteConfig schedule{.threads = 2, .shardSize = 30};
 
-  const CampaignResult fresh = runCampaign(w, config);
+  const CampaignResult fresh = runCampaign(w, config, schedule);
 
   {
     // Interrupt after 3 of 8 shards, checkpointing to the store.
     CampaignStore store(path.str());
-    CampaignConfig capped = config;
+    SuiteConfig capped = schedule;
     capped.maxShards = 3;
-    const CampaignResult partial =
-        CampaignEngine(capped).recordTo(store, "storeprog").run(w);
+    capped.record = &store;
+    const CampaignResult partial = runCampaign(w, config, capped);
     EXPECT_FALSE(partial.complete());
     EXPECT_EQ(partial.completedExperiments, 90u);
   }
@@ -277,10 +275,10 @@ TEST(MemoryCampaign, ResumesThroughTheStore) {
     const CampaignStore::LoadStats loaded = store.load();
     EXPECT_EQ(loaded.shardRecords, 3u);
     EXPECT_EQ(loaded.malformed, 0u);
-    const CampaignResult resumed = CampaignEngine(config)
-                                       .resumeFrom(store)
-                                       .recordTo(store, "storeprog")
-                                       .run(w);
+    SuiteConfig resuming = schedule;
+    resuming.record = &store;
+    resuming.resume = &store;
+    const CampaignResult resumed = runCampaign(w, config, resuming);
     EXPECT_TRUE(resumed.complete());
     EXPECT_EQ(resumed.resumedExperiments, 90u);
     EXPECT_EQ(resumed.counts, fresh.counts);
@@ -291,8 +289,9 @@ TEST(MemoryCampaign, ResumesThroughTheStore) {
     // resumes every shard without recomputation.
     CampaignStore store(path.str());
     store.load();
-    const CampaignResult replayed =
-        CampaignEngine(config).resumeFrom(store).run(w);
+    SuiteConfig replaying = schedule;
+    replaying.resume = &store;
+    const CampaignResult replayed = runCampaign(w, config, replaying);
     EXPECT_TRUE(replayed.complete());
     EXPECT_EQ(replayed.resumedExperiments, 240u);
     EXPECT_EQ(replayed.counts, fresh.counts);

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "fi/campaign.hpp"
+#include "fi/suite.hpp"
 #include "lang/compile.hpp"
 #include "vm/interpreter.hpp"
 

@@ -1,5 +1,5 @@
 // Differential equivalence harness for outcome-equivalence pruning: the
-// "pure speedup" contract of fi::OutcomeCache and CampaignConfig::pruning.
+// "pure speedup" contract of fi::OutcomeCache and fi::PrunePolicy.
 //
 //  * a bench-style cell mix (two workloads × all four fault domains ×
 //    single-bit / multi-bit / burst patterns) produces bit-identical
@@ -22,7 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include "fi/campaign.hpp"
 #include "fi/campaign_store.hpp"
 #include "fi/outcome_cache.hpp"
 #include "fi/suite.hpp"
@@ -150,7 +149,6 @@ TEST(PruneEquivalence, SuiteBitIdenticalAcrossThreadsAndShardSizes) {
       SuiteConfig onCfg;
       onCfg.threads = threads;
       onCfg.shardSize = shardSize;
-      onCfg.pruning = true;
       CampaignSuite on(onCfg);
       addCells(on, bench.hashed);
       std::size_t lastShortCircuited = 0;
@@ -208,7 +206,6 @@ TEST(PruneEquivalence, StoreShardRecordsByteIdenticalOutcomesAlongside) {
     CampaignStore store(onPath);
     SuiteConfig cfg;
     cfg.threads = 4;
-    cfg.pruning = true;
     cfg.record = &store;
     CampaignSuite suite(cfg);
     addCells(suite, bench.hashed);
@@ -264,7 +261,6 @@ TEST(PruneEquivalence, CappedResumeCyclesWithWarmCacheConverge) {
     SuiteConfig cfg;
     cfg.threads = 2;
     cfg.maxShards = 1;
-    cfg.pruning = true;
     cfg.record = &store;
     cfg.resume = &store;
     CampaignSuite suite(cfg);

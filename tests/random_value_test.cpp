@@ -5,8 +5,8 @@
 // equivalence tests drive both against the same plans.
 #include <gtest/gtest.h>
 
-#include "fi/campaign.hpp"
 #include "fi/experiment.hpp"
+#include "fi/suite.hpp"
 #include "lang/compile.hpp"
 
 namespace onebit::fi {
@@ -203,9 +203,9 @@ TEST(RandomValue, CampaignRunsThroughTheStandardEngine) {
   config.model = FaultModel::singleBit(FaultDomain::RandomValue);
   config.experiments = 120;
   config.seed = 0xb11d;
-  config.threads = 2;
-  const CampaignResult a = runCampaign(w, config);
-  const CampaignResult b = runCampaign(w, config);
+  const SuiteConfig schedule{.threads = 2};
+  const CampaignResult a = runCampaign(w, config, schedule);
+  const CampaignResult b = runCampaign(w, config, schedule);
   EXPECT_EQ(a.counts, b.counts);
   EXPECT_EQ(a.counts.total(), 120u);
   // Blind faults mostly miss: Benign must dominate but not be universal.

@@ -19,9 +19,9 @@
 
 #include <gtest/gtest.h>
 
-#include "fi/campaign.hpp"
 #include "fi/experiment.hpp"
 #include "fi/fault_plan.hpp"
+#include "fi/suite.hpp"
 #include "ir/builder.hpp"
 #include "ir/verifier.hpp"
 #include "lang/compile.hpp"
@@ -549,9 +549,9 @@ TEST(WorkloadSnapshots, CampaignBitIdenticalWithCacheOnAndOff) {
   config.model = FaultModel::multiBitTemporal(FaultDomain::RegisterWrite, 2, WinSize::fixed(3));
   config.experiments = 300;
   config.seed = 0xabcd;
-  config.threads = 2;
-  const CampaignResult a = runCampaign(cached, config);
-  const CampaignResult b = runCampaign(scratch, config);
+  const SuiteConfig schedule{.threads = 2};
+  const CampaignResult a = runCampaign(cached, config, schedule);
+  const CampaignResult b = runCampaign(scratch, config, schedule);
   EXPECT_EQ(a.counts, b.counts);
   EXPECT_EQ(a.activationHist, b.activationHist);
 }

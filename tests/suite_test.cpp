@@ -1,8 +1,9 @@
 // fi::CampaignSuite tests: suite-vs-solo bit-identity for every
 // threads/shard-size combination, mixed-size cells, store record/resume
-// through (and across) suite and solo modes, the per-cell checkpoint cap,
-// suite-level progress accounting, and the cost-ordered (longest cell
-// first) shard scheduling across cells.
+// through (and across) multi-cell suites and one-cell runCampaign() calls,
+// the per-cell checkpoint cap, progress accounting, pruning that follows
+// the workload's PrunePolicy, and the cost-ordered (longest cell first)
+// shard scheduling across cells.
 #include <unistd.h>
 
 #include <algorithm>
@@ -76,14 +77,11 @@ class CampaignSuiteFixture : public ::testing::Test {
     };
   }
 
-  /// Solo reference for one cell: single-threaded CampaignEngine run.
-  [[nodiscard]] CampaignResult solo(const CellSpec& cell) const {
-    CampaignConfig config;
-    config.model = cell.model;
-    config.experiments = cell.experiments;
-    config.seed = cell.seed;
-    config.threads = 1;
-    return runCampaign(*cell.workload, config);
+  /// Solo reference for one cell: a single-threaded runCampaign().
+  [[nodiscard]] CampaignResult solo(const CellSpec& cell,
+                                    SuiteConfig config = {.threads = 1}) const {
+    return runCampaign(*cell.workload,
+                       {cell.model, cell.experiments, cell.seed}, config);
   }
 
   static CampaignSuite makeSuite(const std::vector<CellSpec>& cells,
@@ -169,17 +167,11 @@ TEST_F(CampaignSuiteFixture, StoreRecordsThroughSuiteAndResumesInBothModes) {
     EXPECT_EQ(resumed[i].activationHist, fresh[i].activationHist);
   }
 
-  // Cross-mode: a solo CampaignEngine resumes cells a suite recorded —
-  // store records are identical across modes.
+  // Cross-mode: a one-cell runCampaign() resumes cells a suite recorded —
+  // store records do not depend on the cell mix.
   for (const CellSpec& cell : cells) {
-    CampaignConfig config;
-    config.model = cell.model;
-    config.experiments = cell.experiments;
-    config.seed = cell.seed;
-    config.threads = 2;
-    CampaignEngine engine(config);
-    engine.resumeFrom(reopened);
-    const CampaignResult r = engine.run(*cell.workload);
+    const CampaignResult r =
+        solo(cell, SuiteConfig{.threads = 2, .resume = &reopened});
     EXPECT_EQ(r.resumedExperiments, cell.experiments);
     EXPECT_EQ(r.counts, solo(cell).counts);
   }
@@ -194,14 +186,7 @@ TEST_F(CampaignSuiteFixture, SuiteResumesWhatSoloModeRecorded) {
   {
     CampaignStore store(path);
     for (const CellSpec& cell : cells) {
-      CampaignConfig config;
-      config.model = cell.model;
-      config.experiments = cell.experiments;
-      config.seed = cell.seed;
-      config.threads = 1;
-      CampaignEngine engine(config);
-      engine.recordTo(store);
-      (void)engine.run(*cell.workload);
+      (void)solo(cell, SuiteConfig{.threads = 1, .record = &store});
     }
   }
   CampaignStore reopened(path);
@@ -268,7 +253,7 @@ TEST_F(CampaignSuiteFixture, SuiteProgressAccountingIsExactAndMonotonic) {
   }
 }
 
-TEST_F(CampaignSuiteFixture, PerShardCallbackSeesCellLocalSnapshots) {
+TEST_F(CampaignSuiteFixture, ProgressSeesCellLocalShardSnapshots) {
   const std::vector<CellSpec> cells = mixedCells();
   SuiteConfig config;
   config.threads = 4;
@@ -276,9 +261,9 @@ TEST_F(CampaignSuiteFixture, PerShardCallbackSeesCellLocalSnapshots) {
   CampaignSuite suite = makeSuite(cells, config);
 
   stats::OutcomeCounts merged;
-  suite.onShardDone([&](const ShardProgress& p) {
+  suite.onProgress([&](const SuiteProgress& p) {
     EXPECT_EQ(p.shardCounts.total(), p.shardExperiments);
-    EXPECT_LE(p.completedExperiments, p.totalExperiments);
+    EXPECT_LE(p.cellCompletedExperiments, p.cellTotalExperiments);
     EXPECT_LE(p.completedShards, p.shardCount);
     merged.merge(p.shardCounts);
   });
@@ -287,6 +272,34 @@ TEST_F(CampaignSuiteFixture, PerShardCallbackSeesCellLocalSnapshots) {
   stats::OutcomeCounts total;
   for (const CampaignResult& r : results) total.merge(r.counts);
   EXPECT_EQ(merged, total);
+}
+
+TEST_F(CampaignSuiteFixture, CellsPruneExactlyWhenTheirWorkloadDoes) {
+  // Pruning has no SuiteConfig switch: a default-configured suite prunes
+  // every cell whose workload was built with PrunePolicy::on(), and its
+  // results equal the plain workloads'.
+  const Workload alphaPruned(lang::compileMiniC(kAlpha),
+                             Workload::kDefaultHangFactor, SnapshotPolicy{},
+                             PrunePolicy::on());
+  const Workload betaPruned(lang::compileMiniC(kBeta),
+                            Workload::kDefaultHangFactor, SnapshotPolicy{},
+                            PrunePolicy::on());
+  std::vector<CellSpec> cells = mixedCells();
+  const std::vector<CampaignResult> plain = makeSuite(cells, {}).run();
+  for (CellSpec& cell : cells) {
+    cell.workload = cell.workload == alpha_.get() ? &alphaPruned : &betaPruned;
+  }
+  const std::vector<CampaignResult> pruned = makeSuite(cells, {}).run();
+
+  std::size_t shortCircuited = 0;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(pruned[i].counts, plain[i].counts) << "cell " << i;
+    EXPECT_EQ(pruned[i].activationHist, plain[i].activationHist)
+        << "cell " << i;
+    EXPECT_EQ(plain[i].prune.shortCircuited(), 0u) << "cell " << i;
+    shortCircuited += pruned[i].prune.shortCircuited();
+  }
+  EXPECT_GT(shortCircuited, 0u);
 }
 
 TEST_F(CampaignSuiteFixture, CostOrderedSchedulingRunsLongestCellFirst) {
