@@ -20,12 +20,12 @@
 #   scripts/fleet_chaos.sh [BUILD_DIR]
 #
 # BUILD_DIR defaults to ./build; it must contain bench_fig1_single_bit,
-# fsck_store, and report (built by the default CMake configuration).
+# store, and report (built by the default CMake configuration).
 set -eu
 
 build=${1:-build}
 
-for tool in bench_fig1_single_bit fsck_store report; do
+for tool in bench_fig1_single_bit store report; do
   if [ ! -x "$build/$tool" ]; then
     echo "error: $build/$tool not found or not executable; build first" >&2
     echo "  cmake -B $build -S . && cmake --build $build -j" >&2
@@ -63,10 +63,10 @@ echo "== CSV byte-identity (the final --force pass fills the quarantine)"
 diff "$tmp/fig1_solo.csv" "$tmp/fig1_fleet.csv"
 
 echo "== fsck: the crash-looped store contains no corruption"
-"$build/fsck_store" "$tmp/fleet.jsonl"
+"$build/store" fsck "$tmp/fleet.jsonl"
 
 echo "== fsck --repair + resume reproduces the solo CSV"
-"$build/fsck_store" "$tmp/fleet.jsonl" --repair
+"$build/store" fsck "$tmp/fleet.jsonl" --repair
 ONEBIT_STORE="$tmp/fleet.jsonl" ONEBIT_RESUME=1 \
   "$build/bench_fig1_single_bit" > "$tmp/fig1_resumed.csv"
 diff "$tmp/fig1_solo.csv" "$tmp/fig1_resumed.csv"

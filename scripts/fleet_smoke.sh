@@ -25,13 +25,13 @@
 #   scripts/fleet_smoke.sh [BUILD_DIR]
 #
 # BUILD_DIR defaults to ./build; it must contain bench_fig1_single_bit,
-# report, compact_store, and fleet_broker (built by the default CMake
+# report, store, and fleet_broker (built by the default CMake
 # configuration).
 set -eu
 
 build=${1:-build}
 
-for tool in bench_fig1_single_bit report compact_store fleet_broker; do
+for tool in bench_fig1_single_bit report store fleet_broker; do
   if [ ! -x "$build/$tool" ]; then
     echo "error: $build/$tool not found or not executable; build first" >&2
     echo "  cmake -B $build -S . && cmake --build $build -j" >&2
@@ -101,7 +101,7 @@ echo "== report --watch --once renders a dashboard frame"
 grep -q 'report --watch' "$tmp/watch.txt"
 
 echo "== compact: every lease of a finished run is superseded"
-"$build/compact_store" "$tmp/fleet.jsonl"
+"$build/store" compact "$tmp/fleet.jsonl"
 if grep -q '"kind":"lease"' "$tmp/fleet.jsonl"; then
   echo "error: compacted store still contains lease records" >&2
   exit 1

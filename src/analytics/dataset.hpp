@@ -1,8 +1,8 @@
 // Analytics Dataset: the read path over one or many campaign stores.
 //
 // A Dataset loads JSONL store files (or in-process CampaignStore::Snapshot
-// copies) into merged, typed in-memory tables keyed by campaign key. It is
-// strictly a READER:
+// copies) into one merged index keyed by campaign key. It is strictly a
+// READER:
 //
 //   * It never appends, so opening a store another fleet of processes is
 //     actively writing is safe — no writer stream is created, no ".lock"
@@ -11,22 +11,23 @@
 //     crashed or mid-append writer left is counted malformed / retried, not
 //     fatal), because it IS CampaignStore::load underneath: each file
 //     source owns a private read-only CampaignStore instance, and the
-//     tables are built from CampaignStore::snapshot() copies, so no store
-//     mutex is held while they are processed.
+//     merged index is built from CampaignStore::snapshot() copies, so no
+//     store mutex is held while they are processed.
 //   * poll() re-reads only the bytes other processes appended since the
 //     last load (CampaignStore::refresh), so a live dashboard polling a
 //     large fleet store pays for the new records, not the whole file.
 //
-// Merging is idempotent and mirrors the store's own index rules — shards
-// first-wins per (key, range), leases/quarantines newest-wins — so
-// re-ingesting a source after poll(), loading a compacted store, or loading
-// the same records from two shard stores all produce identical tables.
+// Sources are merged by the store's own precedence rule
+// (CampaignStore::Snapshot::merge), in source order: a Dataset over stores
+// A then B reads exactly like the one file A+B, and after poll() exactly
+// like a fresh Dataset over the same files.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "fi/campaign_store.hpp"
@@ -35,43 +36,8 @@ namespace onebit::analytics {
 
 using Range = fi::CampaignStore::Range;  ///< (first experiment, count)
 
-/// Everything the Dataset knows about one campaign key, merged across every
-/// ingested source.
-struct CampaignTable {
-  /// Shard-record meta (first record wins). `meta.key` is always set;
-  /// `meta.experiments == 0` means the campaign is known only through
-  /// scheduling records so far (no shard, no cell).
-  fi::CampaignStore::CampaignMeta meta;
-  bool submitted = false;               ///< a fleet "cell" record exists
-  fi::CampaignStore::CellRecord cell{};  ///< valid when `submitted`
-  std::map<Range, fi::CampaignStore::ShardAggregate> shards;
-  std::map<Range, fi::CampaignStore::LeaseRecord> leases;
-  std::map<Range, fi::CampaignStore::QuarantineRecord> quarantines;
-
-  /// Experiments covered by recorded shards.
-  [[nodiscard]] std::size_t recordedExperiments() const;
-  /// Outcome totals over recorded shards (PARTIAL when !complete()).
-  [[nodiscard]] stats::OutcomeCounts totals() const;
-  /// Activation histogram merged over recorded shards.
-  [[nodiscard]] fi::ActivationHistogram histogram() const;
-  /// True when every experiment of the campaign is recorded. False also
-  /// when the campaign size is unknown (expectedExperiments() == 0): a
-  /// Dataset must never promote a partial tally to a final result.
-  [[nodiscard]] bool complete() const;
-  /// Campaign size, from shard meta or (failing that) the cell record
-  /// (0 = unknown).
-  [[nodiscard]] std::size_t expectedExperiments() const;
-  /// Identity fields, preferring shard meta, falling back to the cell
-  /// record of a submitted-but-unstarted campaign.
-  [[nodiscard]] const std::string& workload() const;
-  [[nodiscard]] const std::string& specLabel() const;
-  [[nodiscard]] std::uint64_t seed() const;
-  /// The flip width, when a cell record carries it (0 = unknown — shard
-  /// records do not store it; see resolveCell in analytics/figures.hpp).
-  [[nodiscard]] unsigned flipWidth() const {
-    return submitted ? cell.flipWidth : 0;
-  }
-};
+/// Everything known about one campaign key, merged across every source.
+using CampaignTable = fi::CampaignStore::Snapshot::Campaign;
 
 class Dataset {
  public:
@@ -93,32 +59,25 @@ class Dataset {
 
   /// Ingest a snapshot of an in-process store (no file ownership; poll()
   /// will not advance it).
-  std::size_t addSnapshot(const fi::CampaignStore::Snapshot& snap,
+  std::size_t addSnapshot(fi::CampaignStore::Snapshot snap,
                           std::string label = "<snapshot>");
 
   /// Incrementally re-read every file source (CampaignStore::refresh: only
   /// the newly appended bytes; a shrunken/compacted file triggers a safe
-  /// full re-read) and merge the new records into the tables.
+  /// full re-read) and re-merge the sources.
   void poll();
 
-  /// Merged campaign tables, key-ordered.
-  [[nodiscard]] const std::map<std::uint64_t, CampaignTable>& campaigns()
-      const noexcept {
-    return campaigns_;
+  /// Merged campaign tables by key (unordered).
+  [[nodiscard]] const std::unordered_map<std::uint64_t, CampaignTable>&
+  campaigns() const noexcept {
+    return merged().campaigns;
   }
 
-  /// Merged workload profiles (first source wins per name).
+  /// Merged workload profiles.
   [[nodiscard]] const std::map<std::string, fi::CampaignStore::WorkloadRecord,
                                std::less<>>&
   workloads() const noexcept {
-    return workloads_;
-  }
-
-  /// Outcome-equivalence cache volume per cache key (largest seen wins —
-  /// entry counts only grow, so the max is the freshest view).
-  [[nodiscard]] const std::map<std::uint64_t, std::size_t>& outcomeEntries()
-      const noexcept {
-    return outcomeEntries_;
+    return merged().workloads;
   }
 
   [[nodiscard]] const std::vector<Source>& sources() const noexcept {
@@ -139,15 +98,25 @@ class Dataset {
       std::uint64_t seed, std::size_t experiments) const;
 
  private:
-  void ingest(const fi::CampaignStore::Snapshot& snap);
+  /// What a source reads from: a private store for a file source, the
+  /// given copy for a snapshot source.
+  struct Feed {
+    std::unique_ptr<fi::CampaignStore> store;
+    fi::CampaignStore::Snapshot snapshot;
+  };
 
-  std::vector<std::unique_ptr<fi::CampaignStore>> stores_;  ///< file sources
-  std::vector<std::size_t> storeSource_;  ///< stores_[i] → sources_ index
+  void remerge();
+  /// The merged index. A lone snapshot source is read in place rather than
+  /// copied, so a Dataset over one in-process snapshot holds one index.
+  [[nodiscard]] const fi::CampaignStore::Snapshot& merged() const noexcept {
+    return feeds_.size() == 1 && feeds_.front().store == nullptr
+               ? feeds_.front().snapshot
+               : merged_;
+  }
+
   std::vector<Source> sources_;
-  std::map<std::uint64_t, CampaignTable> campaigns_;
-  std::map<std::string, fi::CampaignStore::WorkloadRecord, std::less<>>
-      workloads_;
-  std::map<std::uint64_t, std::size_t> outcomeEntries_;
+  std::vector<Feed> feeds_;  ///< one per source
+  fi::CampaignStore::Snapshot merged_;  ///< unused for a lone snapshot
 };
 
 }  // namespace onebit::analytics

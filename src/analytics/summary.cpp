@@ -1,5 +1,6 @@
 #include "analytics/summary.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 
 #include "analytics/aggregate.hpp"
@@ -49,7 +50,7 @@ void appendCampaign(std::string& out, const CampaignTable& table,
           " (%5.1f%%)%s%s",
           table.meta.key, workload.empty() ? "-" : workload.c_str(),
           spec.empty() ? "-" : spec.c_str(), recorded, expected, pct,
-          table.submitted ? " [cell]" : "",
+          table.cell ? " [cell]" : "",
           recorded >= expected && expected != 0 ? " [complete]" : "");
   if (progress.activeLeases != 0 || progress.expiredLeases != 0) {
     appendf(out, "  leases: %zu active, %zu expired", progress.activeLeases,
@@ -73,6 +74,18 @@ void appendCampaign(std::string& out, const CampaignTable& table,
   out += "\n";
 }
 
+/// The Dataset's campaigns in key order: the order report prints them in.
+std::vector<const CampaignTable*> byKey(const Dataset& ds) {
+  std::vector<const CampaignTable*> tables;
+  tables.reserve(ds.campaigns().size());
+  for (const auto& [key, table] : ds.campaigns()) tables.push_back(&table);
+  std::sort(tables.begin(), tables.end(),
+            [](const CampaignTable* a, const CampaignTable* b) {
+              return a->meta.key < b->meta.key;
+            });
+  return tables;
+}
+
 }  // namespace
 
 std::string renderSummaryText(const Dataset& ds, std::uint64_t nowMs) {
@@ -90,8 +103,8 @@ std::string renderSummaryText(const Dataset& ds, std::uint64_t nowMs) {
     appendf(out, "merged: %zu campaign(s) across %zu store(s)\n",
             ds.campaigns().size(), ds.sources().size());
   }
-  for (const auto& [key, table] : ds.campaigns()) {
-    appendCampaign(out, table, nowMs);
+  for (const CampaignTable* table : byKey(ds)) {
+    appendCampaign(out, *table, nowMs);
   }
   const std::vector<WorkerRow> workers = workerRollup(ds, nowMs);
   if (!workers.empty()) {
@@ -146,10 +159,11 @@ util::Json summaryJson(const Dataset& ds, std::uint64_t nowMs) {
   }
   out.set("sources", std::move(sources));
   util::Json campaigns = util::Json::array();
-  for (const auto& [key, table] : ds.campaigns()) {
+  for (const CampaignTable* t : byKey(ds)) {
+    const CampaignTable& table = *t;
     const CampaignProgress progress = progressOf(table, nowMs);
     util::Json obj = util::Json::object();
-    obj.set("key", util::Json::string(hex64(key)));
+    obj.set("key", util::Json::string(hex64(table.meta.key)));
     obj.set("workload", util::Json::string(table.workload()));
     obj.set("spec", util::Json::string(table.specLabel()));
     obj.set("seed", util::Json::string(hex64(table.seed())));
@@ -162,7 +176,7 @@ util::Json summaryJson(const Dataset& ds, std::uint64_t nowMs) {
             util::Json::number(
                 static_cast<std::uint64_t>(table.expectedExperiments())));
     obj.set("complete", util::Json::boolean(table.complete()));
-    obj.set("submitted", util::Json::boolean(table.submitted));
+    obj.set("submitted", util::Json::boolean(table.cell.has_value()));
     obj.set("outcomes", stats::toJson(table.totals()));
     obj.set("active_leases",
             util::Json::number(

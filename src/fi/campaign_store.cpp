@@ -3,7 +3,9 @@
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <tuple>
+#include <variant>
 
 #include "stats/serialize.hpp"
 #include "util/rng.hpp"
@@ -147,97 +149,115 @@ std::uint64_t CampaignStore::outcomeCacheKey(
 
 namespace {
 
-/// One decoded-and-validated shard record (shared by load and compact).
-struct ParsedShard {
-  std::uint64_t key = 0;
-  std::size_t first = 0;
-  std::size_t count = 0;
+using Snapshot = CampaignStore::Snapshot;
+using Range = CampaignStore::Range;
+
+/// One parsed store line. Besides the six record kinds, a line is either of
+/// an unknown kind or foreign version (possibly a later format), or invalid
+/// (it parses as JSON but fails its kind's validation).
+struct ShardLine {
+  CampaignStore::CampaignMeta meta;  ///< meta.key is the campaign key
+  Range range;
   CampaignStore::ShardAggregate agg;
-  CampaignStore::CampaignMeta meta;
 };
+struct OutcomeLine {
+  std::uint64_t key = 0;  ///< outcome-cache key
+  CampaignStore::OutcomeRecord rec;
+};
+struct LeaseLine {
+  std::uint64_t key = 0;
+  CampaignStore::LeaseRecord rec;
+};
+struct QuarantineLine {
+  std::uint64_t key = 0;
+  CampaignStore::QuarantineRecord rec;
+};
+struct UnknownLine {};
+struct InvalidLine {};
+using Record =
+    std::variant<InvalidLine, UnknownLine, ShardLine,
+                 CampaignStore::WorkloadRecord, OutcomeLine,
+                 CampaignStore::CellRecord, LeaseLine, QuarantineLine>;
+
+/// LoadStats' accepted-record counter of each Record alternative.
+constexpr std::size_t CampaignStore::LoadStats::*kAccepted[] = {
+    nullptr,
+    nullptr,
+    &CampaignStore::LoadStats::shardRecords,
+    &CampaignStore::LoadStats::workloadRecords,
+    &CampaignStore::LoadStats::outcomeRecords,
+    &CampaignStore::LoadStats::cellRecords,
+    &CampaignStore::LoadStats::leaseRecords,
+    &CampaignStore::LoadStats::quarantineRecords};
+static_assert(std::size(kAccepted) == std::variant_size_v<Record>);
+
+std::optional<std::uint64_t> hexField(const util::Json& record,
+                                      std::string_view field) {
+  const util::Json* f = record.find(field);
+  return f != nullptr ? keyFromHex(f->asString()) : std::nullopt;
+}
+
+std::string stringField(const util::Json& record, std::string_view field) {
+  const util::Json* f = record.find(field);
+  return f != nullptr ? std::string(f->asString()) : std::string();
+}
 
 /// Decode a "shard" record. Integrity: the shard range must lie inside the
 /// campaign and both aggregates must tally exactly `count` experiments — a
 /// mangled record is worth less than a re-run shard.
-bool parseShardRecord(const util::Json& record, ParsedShard& out) {
-  const util::Json* keyField = record.find("key");
-  const std::optional<std::uint64_t> parsedKey =
-      keyField != nullptr ? keyFromHex(keyField->asString()) : std::nullopt;
-  if (!parsedKey) return false;
-  const std::uint64_t key = *parsedKey;
+Record parseShard(const util::Json& record) {
+  const std::optional<std::uint64_t> key = hexField(record, "key");
   const std::uint64_t bad = ~0ULL;
   const std::uint64_t first = getUint(record, "first", bad);
   const std::uint64_t count = getUint(record, "count", bad);
   const std::uint64_t experiments = getUint(record, "experiments", bad);
   const util::Json* outcomes = record.find("outcomes");
   const util::Json* hist = record.find("hist");
+  ShardLine out;
   // The range test is written so it cannot wrap: `first + count` overflows
   // for a `first` near 2^64 and would pass a shard lying outside the
   // campaign.
-  if (first == bad || count == bad || count == 0 || experiments == bad ||
-      count > experiments || first > experiments - count ||
-      outcomes == nullptr || !stats::fromJson(*outcomes, out.agg.counts) ||
-      hist == nullptr || !histFromJson(*hist, out.agg.hist) ||
+  if (!key || first == bad || count == bad || count == 0 ||
+      experiments == bad || count > experiments ||
+      first > experiments - count || outcomes == nullptr ||
+      !stats::fromJson(*outcomes, out.agg.counts) || hist == nullptr ||
+      !histFromJson(*hist, out.agg.hist) ||
       out.agg.counts.total() != count || histTotal(out.agg.hist) != count) {
-    return false;
+    return InvalidLine{};
   }
-  out.key = key;
-  out.first = static_cast<std::size_t>(first);
-  out.count = static_cast<std::size_t>(count);
-  out.meta.key = key;
-  if (const util::Json* f = record.find("workload")) {
-    out.meta.workload = std::string(f->asString());
-  }
-  if (const util::Json* f = record.find("spec")) {
-    out.meta.specLabel = std::string(f->asString());
-  }
-  if (const util::Json* f = record.find("seed")) {
-    out.meta.seed = keyFromHex(f->asString()).value_or(0);
-  }
+  out.range = {static_cast<std::size_t>(first),
+               static_cast<std::size_t>(count)};
+  out.meta.key = *key;
+  out.meta.workload = stringField(record, "workload");
+  out.meta.specLabel = stringField(record, "spec");
+  out.meta.seed = hexField(record, "seed").value_or(0);
   out.meta.experiments = static_cast<std::size_t>(experiments);
   out.meta.candidates = getUint(record, "candidates", 0);
-  return true;
+  return out;
 }
 
 /// Decode a "workload" record (only the name is mandatory).
-bool parseWorkloadRecord(const util::Json& record,
-                         CampaignStore::WorkloadRecord& rec) {
-  const util::Json* name = record.find("name");
-  if (name == nullptr || name->asString().empty()) return false;
-  rec.name = std::string(name->asString());
-  if (const util::Json* f = record.find("suite")) {
-    rec.suite = std::string(f->asString());
-  }
-  if (const util::Json* f = record.find("package")) {
-    rec.package = std::string(f->asString());
-  }
-  if (const util::Json* f = record.find("src_hash")) {
-    rec.sourceHash = keyFromHex(f->asString()).value_or(0);
-  }
+Record parseWorkload(const util::Json& record) {
+  CampaignStore::WorkloadRecord rec;
+  rec.name = stringField(record, "name");
+  if (rec.name.empty()) return InvalidLine{};
+  rec.suite = stringField(record, "suite");
+  rec.package = stringField(record, "package");
+  rec.sourceHash = hexField(record, "src_hash").value_or(0);
   rec.minicLoc = getUint(record, "minic_loc", 0);
   rec.irInstrs = getUint(record, "ir_instrs", 0);
   rec.dynInstrs = getUint(record, "dyn_instrs", 0);
   rec.candRead = getUint(record, "cand_read", 0);
   rec.candWrite = getUint(record, "cand_write", 0);
   rec.candStore = getUint(record, "cand_store", 0);
-  return true;
+  return rec;
 }
-
-/// One decoded-and-validated outcome record (shared by load and compact).
-struct ParsedOutcome {
-  std::uint64_t key = 0;
-  CampaignStore::OutcomeRecord rec;
-};
 
 /// Decode an "outcome" record. The enums are range-checked: a record whose
 /// outcome or trap no longer decodes would replay garbage into results.
-bool parseOutcomeRecord(const util::Json& record, ParsedOutcome& out) {
-  const util::Json* keyField = record.find("key");
-  const std::optional<std::uint64_t> key =
-      keyField != nullptr ? keyFromHex(keyField->asString()) : std::nullopt;
-  const util::Json* hashField = record.find("hash");
-  const std::optional<std::uint64_t> hash =
-      hashField != nullptr ? keyFromHex(hashField->asString()) : std::nullopt;
+Record parseOutcome(const util::Json& record) {
+  const std::optional<std::uint64_t> key = hexField(record, "key");
+  const std::optional<std::uint64_t> hash = hexField(record, "hash");
   const std::uint64_t bad = ~0ULL;
   const std::uint64_t boundary = getUint(record, "boundary", bad);
   const std::uint64_t outcome = getUint(record, "outcome", bad);
@@ -247,109 +267,210 @@ bool parseOutcomeRecord(const util::Json& record, ParsedOutcome& out) {
       outcome >= stats::kOutcomeCount ||
       trap > static_cast<std::uint64_t>(vm::TrapKind::Abort) ||
       instructions == bad) {
-    return false;
+    return InvalidLine{};
   }
-  out.key = *key;
-  out.rec.boundary = boundary;
-  out.rec.hash = *hash;
-  out.rec.outcome = static_cast<stats::Outcome>(outcome);
-  out.rec.trap = static_cast<vm::TrapKind>(trap);
-  out.rec.instructions = instructions;
-  return true;
+  return OutcomeLine{*key,
+                     {boundary, *hash, static_cast<stats::Outcome>(outcome),
+                      static_cast<vm::TrapKind>(trap), instructions}};
 }
 
 /// Decode a "cell" record. A cell a worker cannot fully reconstruct
 /// (missing name/spec/geometry) is worthless, so everything but the two
 /// advisory fields (hang_factor, dyn_instrs) is mandatory.
-bool parseCellRecord(const util::Json& record,
-                     CampaignStore::CellRecord& rec) {
-  const util::Json* keyField = record.find("key");
-  const std::optional<std::uint64_t> key =
-      keyField != nullptr ? keyFromHex(keyField->asString()) : std::nullopt;
-  const util::Json* name = record.find("workload");
-  const util::Json* spec = record.find("spec");
-  const util::Json* seedField = record.find("seed");
-  const std::optional<std::uint64_t> seed =
-      seedField != nullptr ? keyFromHex(seedField->asString()) : std::nullopt;
+Record parseCell(const util::Json& record) {
+  const std::optional<std::uint64_t> key = hexField(record, "key");
+  const std::optional<std::uint64_t> seed = hexField(record, "seed");
   const std::uint64_t bad = ~0ULL;
   const std::uint64_t flipWidth = getUint(record, "flip_width", bad);
   const std::uint64_t experiments = getUint(record, "experiments", bad);
   const std::uint64_t shardSize = getUint(record, "shard_size", bad);
-  if (!key || !seed || name == nullptr || name->asString().empty() ||
-      spec == nullptr || spec->asString().empty() || flipWidth == 0 ||
-      flipWidth > 64 || experiments == 0 || experiments == bad ||
-      shardSize == 0 || shardSize == bad) {
-    return false;
+  CampaignStore::CellRecord rec;
+  rec.workload = stringField(record, "workload");
+  rec.spec = stringField(record, "spec");
+  if (!key || !seed || rec.workload.empty() || rec.spec.empty() ||
+      flipWidth == 0 || flipWidth > 64 || experiments == 0 ||
+      experiments == bad || shardSize == 0 || shardSize == bad) {
+    return InvalidLine{};
   }
   rec.key = *key;
-  rec.workload = std::string(name->asString());
-  rec.spec = std::string(spec->asString());
   rec.flipWidth = static_cast<unsigned>(flipWidth);
   rec.experiments = static_cast<std::size_t>(experiments);
   rec.seed = *seed;
   rec.shardSize = static_cast<std::size_t>(shardSize);
   rec.hangFactor = getUint(record, "hang_factor", 0);
   rec.dynInstrs = getUint(record, "dyn_instrs", 0);
-  return true;
+  return rec;
 }
 
-/// One decoded-and-validated lease record (shared by load and compact).
-struct ParsedLease {
-  std::uint64_t key = 0;
-  CampaignStore::LeaseRecord rec;
-};
-
-bool parseLeaseRecord(const util::Json& record, ParsedLease& out) {
-  const util::Json* keyField = record.find("key");
-  const std::optional<std::uint64_t> key =
-      keyField != nullptr ? keyFromHex(keyField->asString()) : std::nullopt;
-  const util::Json* worker = record.find("worker");
+Record parseLease(const util::Json& record) {
+  const std::optional<std::uint64_t> key = hexField(record, "key");
   const std::uint64_t bad = ~0ULL;
   const std::uint64_t first = getUint(record, "first", bad);
   const std::uint64_t count = getUint(record, "count", bad);
   const std::uint64_t epoch = getUint(record, "epoch", bad);
   const std::uint64_t deadline = getUint(record, "deadline", bad);
-  if (!key || worker == nullptr || worker->asString().empty() ||
-      first == bad || count == 0 || count == bad || epoch == 0 ||
-      epoch == bad || deadline == bad) {
-    return false;
+  LeaseLine out;
+  out.rec.worker = stringField(record, "worker");
+  if (!key || out.rec.worker.empty() || first == bad || count == 0 ||
+      count == bad || epoch == 0 || epoch == bad || deadline == bad) {
+    return InvalidLine{};
   }
   out.key = *key;
   out.rec.first = static_cast<std::size_t>(first);
   out.rec.count = static_cast<std::size_t>(count);
-  out.rec.worker = std::string(worker->asString());
   out.rec.epoch = epoch;
   out.rec.deadlineMs = deadline;
   out.rec.costMs = getUint(record, "cost_ms", 0);  // optional: completions
-  return true;
+  return out;
 }
 
-/// One decoded-and-validated quarantine record (shared by load and compact).
-struct ParsedQuarantine {
-  std::uint64_t key = 0;
-  CampaignStore::QuarantineRecord rec;
-};
-
-bool parseQuarantineRecord(const util::Json& record, ParsedQuarantine& out) {
-  const util::Json* keyField = record.find("key");
-  const std::optional<std::uint64_t> key =
-      keyField != nullptr ? keyFromHex(keyField->asString()) : std::nullopt;
+Record parseQuarantine(const util::Json& record) {
+  const std::optional<std::uint64_t> key = hexField(record, "key");
   const std::uint64_t bad = ~0ULL;
   const std::uint64_t first = getUint(record, "first", bad);
   const std::uint64_t count = getUint(record, "count", bad);
-  if (!key || first == bad || count == 0 || count == bad) return false;
+  if (!key || first == bad || count == 0 || count == bad) {
+    return InvalidLine{};
+  }
+  QuarantineLine out;
   out.key = *key;
   out.rec.first = static_cast<std::size_t>(first);
   out.rec.count = static_cast<std::size_t>(count);
   out.rec.crashes = getUint(record, "crashes", 0);
-  if (const util::Json* f = record.find("worker")) {
-    out.rec.worker = std::string(f->asString());
-  }
-  if (const util::Json* f = record.find("reason")) {
-    out.rec.reason = std::string(f->asString());
-  }
-  return true;
+  out.rec.worker = stringField(record, "worker");
+  out.rec.reason = stringField(record, "reason");
+  return out;
 }
+
+/// Parse and validate one store line: the store's only dispatch on the
+/// record kind.
+Record parseRecord(const util::Json& record) {
+  const util::Json* kind = record.find("kind");
+  if (getUint(record, "v", 0) != CampaignStore::kFormatVersion ||
+      kind == nullptr) {
+    return UnknownLine{};
+  }
+  const std::string_view k = kind->asString();
+  if (k == "shard") return parseShard(record);
+  if (k == "workload") return parseWorkload(record);
+  if (k == "outcome") return parseOutcome(record);
+  if (k == "cell") return parseCell(record);
+  if (k == "lease") return parseLease(record);
+  if (k == "quarantine") return parseQuarantine(record);
+  return UnknownLine{};
+}
+
+// The record-precedence rule: which of two records with one identity the
+// index holds. docs/ARCHITECTURE.md ("Record precedence") tabulates it.
+
+/// What folding one record into an index did.
+enum class Fold {
+  Taken,    ///< the index now holds this record for its identity
+  Repeat,   ///< a first-wins identity (shard, outcome) was already held
+  Ignored,  ///< a newest-wins record that changes nothing: identical to the
+            ///< held one, or a lease of a stale epoch
+};
+
+Snapshot::Campaign& campaignAt(Snapshot& index, std::uint64_t key) {
+  Snapshot::Campaign& c = index.campaigns[key];
+  c.meta.key = key;
+  return c;
+}
+
+/// Shards: first wins — by the determinism contract a re-record carries the
+/// same aggregates, and keep-first makes replays idempotent. A campaign's
+/// meta comes from its first shard record.
+Fold fold(Snapshot& index, const ShardLine& r) {
+  Snapshot::Campaign& c = campaignAt(index, r.meta.key);
+  if (c.meta.experiments == 0) c.meta = r.meta;
+  return c.shards.try_emplace(r.range, r.agg).second ? Fold::Taken
+                                                     : Fold::Repeat;
+}
+
+/// Workloads: newest wins; every record replaces the held one.
+Fold fold(Snapshot& index, const CampaignStore::WorkloadRecord& rec) {
+  index.workloads.insert_or_assign(rec.name, rec);
+  return Fold::Taken;
+}
+
+/// Outcome-cache entries: first wins (values are functions of their key).
+Fold fold(Snapshot& index, const OutcomeLine& r) {
+  return index.outcomes[r.key]
+                 .try_emplace({r.rec.boundary, r.rec.hash}, r.rec)
+                 .second
+             ? Fold::Taken
+             : Fold::Repeat;
+}
+
+/// Cells: newest wins (the key binds every result-relevant field, so a
+/// difference is scheduling metadata); a key keeps its first-submission
+/// position in cellOrder.
+Fold fold(Snapshot& index, const CampaignStore::CellRecord& rec) {
+  Snapshot::Campaign& c = campaignAt(index, rec.key);
+  if (c.cell == rec) return Fold::Ignored;
+  if (!c.cell) index.cellOrder.push_back(rec.key);
+  c.cell = rec;
+  return Fold::Taken;
+}
+
+/// Leases: the highest epoch wins, and within an epoch the latest record
+/// (renewals are appended in time order); a stale epoch is ignored.
+Fold fold(Snapshot& index, const LeaseLine& r) {
+  const auto [it, inserted] = campaignAt(index, r.key).leases.try_emplace(
+      Range{r.rec.first, r.rec.count}, r.rec);
+  if (inserted) return Fold::Taken;
+  if (r.rec.epoch < it->second.epoch || it->second == r.rec) {
+    return Fold::Ignored;
+  }
+  it->second = r.rec;
+  return Fold::Taken;
+}
+
+/// Quarantines: newest wins (a re-quarantine bumps the crash count).
+Fold fold(Snapshot& index, const QuarantineLine& r) {
+  const auto [it, inserted] = campaignAt(index, r.key).quarantines.try_emplace(
+      Range{r.rec.first, r.rec.count}, r.rec);
+  if (inserted) return Fold::Taken;
+  if (it->second == r.rec) return Fold::Ignored;
+  it->second = r.rec;
+  return Fold::Taken;
+}
+
+Fold fold(Snapshot&, InvalidLine) { return Fold::Ignored; }
+Fold fold(Snapshot&, UnknownLine) { return Fold::Ignored; }
+
+Fold foldRecord(Snapshot& index, const Record& record) {
+  return std::visit([&](const auto& r) { return fold(index, r); }, record);
+}
+
+/// A record's identity — records with equal identities compete for one
+/// entry of the index: (kind tag, key, range or (boundary, hash), name).
+using Identity = std::tuple<char, std::uint64_t, std::uint64_t,
+                            std::uint64_t, std::string>;
+
+Identity rangeIdentity(char tag, std::uint64_t key, const Range& range) {
+  return {tag, key, range.first, range.second, {}};
+}
+Identity identity(const ShardLine& r) {
+  return rangeIdentity('s', r.meta.key, r.range);
+}
+Identity identity(const CampaignStore::WorkloadRecord& r) {
+  return {'w', 0, 0, 0, r.name};
+}
+Identity identity(const OutcomeLine& r) {
+  return {'o', r.key, r.rec.boundary, r.rec.hash, {}};
+}
+Identity identity(const CampaignStore::CellRecord& r) {
+  return {'c', r.key, 0, 0, {}};
+}
+Identity identity(const LeaseLine& r) {
+  return rangeIdentity('l', r.key, {r.rec.first, r.rec.count});
+}
+Identity identity(const QuarantineLine& r) {
+  return rangeIdentity('q', r.key, {r.rec.first, r.rec.count});
+}
+Identity identity(InvalidLine) { return {}; }
+Identity identity(UnknownLine) { return {}; }
 
 util::Json cellToJson(const CampaignStore::CellRecord& rec) {
   util::Json record = util::Json::object();
@@ -423,7 +544,6 @@ CampaignStore::LoadStats CampaignStore::refresh() {
   std::lock_guard lock(mutex_);
   // A file smaller than the resume point was rewritten underneath us
   // (compacted): the offset is meaningless, so re-read from scratch.
-  // Re-indexing is idempotent (first-wins shards, newest-wins the rest).
   if (fileSizeOf(path_) < readOffset_) {
     clearIndex();
     return readInto(0, /*consumeTail=*/false);
@@ -432,329 +552,29 @@ CampaignStore::LoadStats CampaignStore::refresh() {
 }
 
 void CampaignStore::clearIndex() {
-  shards_.clear();
-  metas_.clear();
-  workloads_.clear();
-  outcomes_.clear();
-  cellOrder_.clear();
-  cellIndex_.clear();
-  leases_.clear();
-  quarantines_.clear();
+  index_ = {};
   readOffset_ = 0;
 }
 
 CampaignStore::LoadStats CampaignStore::readInto(std::uint64_t offset,
                                                  bool consumeTail) {
   LoadStats stats;
-  const util::JsonlReadStats read =
-      util::readJsonlFrom(path_, offset, consumeTail, [&](util::Json&&
-                                                              record) {
-        const std::uint64_t v = getUint(record, "v", 0);
-        const util::Json* kind = record.find("kind");
-        if (v != kFormatVersion || kind == nullptr) {
+  const util::JsonlReadStats read = util::readJsonlFrom(
+      path_, offset, consumeTail, [&](util::Json&& json) {
+        const Record record = parseRecord(json);
+        if (std::holds_alternative<InvalidLine>(record)) {
           ++stats.malformed;
-          ++stats.unknownKinds;  // foreign version: possibly a future format
-          return;
+        } else if (std::holds_alternative<UnknownLine>(record)) {
+          ++stats.malformed;
+          ++stats.unknownKinds;
+        } else if (foldRecord(index_, record) == Fold::Taken) {
+          ++(stats.*kAccepted[record.index()]);
+        } else {
+          ++stats.duplicates;
         }
-        if (kind->asString() == "shard") {
-          ParsedShard shard;
-          if (!parseShardRecord(record, shard)) {
-            ++stats.malformed;
-            return;
-          }
-          metas_.try_emplace(shard.key, std::move(shard.meta));
-          if (indexShard(shard.key, {shard.first, shard.count},
-                         std::move(shard.agg))) {
-            ++stats.shardRecords;
-          } else {
-            ++stats.duplicates;
-          }
-          return;
-        }
-        if (kind->asString() == "workload") {
-          WorkloadRecord rec;
-          if (!parseWorkloadRecord(record, rec)) {
-            ++stats.malformed;
-            return;
-          }
-          workloads_.insert_or_assign(rec.name, std::move(rec));
-          ++stats.workloadRecords;
-          return;
-        }
-        if (kind->asString() == "outcome") {
-          ParsedOutcome outcome;
-          if (!parseOutcomeRecord(record, outcome)) {
-            ++stats.malformed;
-            return;
-          }
-          if (outcomes_[outcome.key]
-                  .emplace(
-                      OutcomeKey{outcome.rec.boundary, outcome.rec.hash},
-                      outcome.rec)
-                  .second) {
-            ++stats.outcomeRecords;
-          } else {
-            ++stats.duplicates;
-          }
-          return;
-        }
-        if (kind->asString() == "cell") {
-          CellRecord rec;
-          if (!parseCellRecord(record, rec)) {
-            ++stats.malformed;
-            return;
-          }
-          if (indexCell(rec)) {
-            ++stats.cellRecords;
-          } else {
-            ++stats.duplicates;
-          }
-          return;
-        }
-        if (kind->asString() == "lease") {
-          ParsedLease lease;
-          if (!parseLeaseRecord(record, lease)) {
-            ++stats.malformed;
-            return;
-          }
-          if (indexLease(lease.key, lease.rec)) {
-            ++stats.leaseRecords;
-          } else {
-            ++stats.duplicates;
-          }
-          return;
-        }
-        if (kind->asString() == "quarantine") {
-          ParsedQuarantine quarantine;
-          if (!parseQuarantineRecord(record, quarantine)) {
-            ++stats.malformed;
-            return;
-          }
-          if (indexQuarantine(quarantine.key, quarantine.rec)) {
-            ++stats.quarantineRecords;
-          } else {
-            ++stats.duplicates;
-          }
-          return;
-        }
-        ++stats.malformed;  // unknown record kind
-        ++stats.unknownKinds;
       });
   stats.malformed += read.malformed;
   readOffset_ = read.endOffset;
-  return stats;
-}
-
-std::optional<CampaignStore::CompactStats> CampaignStore::compact(
-    const std::string& path, std::uint64_t nowMs) {
-  CompactStats stats;
-  // Collect the surviving records in first-seen identity order, newest
-  // content winning per identity — duplicates carry identical aggregates by
-  // the determinism contract, so "newest" only matters for records written
-  // by different semantics versions, which hash to different keys anyway.
-  std::vector<util::Json> kept;
-  std::map<std::pair<std::uint64_t, std::pair<std::size_t, std::size_t>>,
-           std::size_t>
-      shardAt;
-  std::map<std::string, std::size_t, std::less<>> workloadAt;
-  std::map<std::pair<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>,
-           std::size_t>
-      outcomeAt;
-  std::map<std::uint64_t, std::size_t> cellAt;
-  // Newest lease per (key, range); whether it survives is decided AFTER the
-  // scan, when every shard record is known (a superseding shard may appear
-  // later in the file than the lease it supersedes).
-  std::map<std::pair<std::uint64_t, std::pair<std::size_t, std::size_t>>,
-           std::size_t>
-      leaseAt;
-  std::map<std::size_t, ParsedLease> leaseBody;  ///< kept index → decoded
-  // Newest quarantine per (key, range); like leases, survival is decided
-  // after the scan (a shard record anywhere in the file supersedes it).
-  std::map<std::pair<std::uint64_t, std::pair<std::size_t, std::size_t>>,
-           std::size_t>
-      quarantineAt;
-  std::map<std::size_t, ParsedQuarantine> quarantineBody;
-  const util::JsonlReadStats read =
-      util::readJsonl(path, [&](util::Json&& record) {
-        const std::uint64_t v = getUint(record, "v", 0);
-        const util::Json* kind = record.find("kind");
-        if (v != kFormatVersion || kind == nullptr) {
-          ++stats.droppedMalformed;
-          return;
-        }
-        if (kind->asString() == "shard") {
-          ParsedShard shard;
-          if (!parseShardRecord(record, shard)) {
-            ++stats.droppedMalformed;
-            return;
-          }
-          const auto [it, inserted] = shardAt.try_emplace(
-              {shard.key, {shard.first, shard.count}}, kept.size());
-          if (inserted) {
-            kept.push_back(std::move(record));
-          } else {
-            kept[it->second] = std::move(record);
-            ++stats.droppedDuplicates;
-          }
-          return;
-        }
-        if (kind->asString() == "workload") {
-          WorkloadRecord rec;
-          if (!parseWorkloadRecord(record, rec)) {
-            ++stats.droppedMalformed;
-            return;
-          }
-          const auto [it, inserted] =
-              workloadAt.try_emplace(rec.name, kept.size());
-          if (inserted) {
-            kept.push_back(std::move(record));
-          } else {
-            kept[it->second] = std::move(record);
-            ++stats.droppedDuplicates;
-          }
-          return;
-        }
-        if (kind->asString() == "outcome") {
-          ParsedOutcome outcome;
-          if (!parseOutcomeRecord(record, outcome)) {
-            ++stats.droppedMalformed;
-            return;
-          }
-          const auto [it, inserted] = outcomeAt.try_emplace(
-              {outcome.key, {outcome.rec.boundary, outcome.rec.hash}},
-              kept.size());
-          if (inserted) {
-            kept.push_back(std::move(record));
-          } else {
-            kept[it->second] = std::move(record);
-            ++stats.droppedDuplicates;
-          }
-          return;
-        }
-        if (kind->asString() == "cell") {
-          CellRecord rec;
-          if (!parseCellRecord(record, rec)) {
-            ++stats.droppedMalformed;
-            return;
-          }
-          const auto [it, inserted] = cellAt.try_emplace(rec.key,
-                                                         kept.size());
-          if (inserted) {
-            kept.push_back(std::move(record));
-          } else {
-            kept[it->second] = std::move(record);
-            ++stats.droppedDuplicates;
-          }
-          return;
-        }
-        if (kind->asString() == "lease") {
-          ParsedLease lease;
-          if (!parseLeaseRecord(record, lease)) {
-            ++stats.droppedMalformed;
-            return;
-          }
-          const auto [it, inserted] = leaseAt.try_emplace(
-              {lease.key, {lease.rec.first, lease.rec.count}}, kept.size());
-          if (inserted) {
-            leaseBody.emplace(kept.size(), std::move(lease));
-            kept.push_back(std::move(record));
-          } else if (lease.rec.epoch >= leaseBody.at(it->second).rec.epoch) {
-            // Newest wins: higher epoch, or a later renewal within one.
-            kept[it->second] = std::move(record);
-            leaseBody.insert_or_assign(it->second, std::move(lease));
-            ++stats.droppedLeases;
-          } else {
-            ++stats.droppedLeases;  // stale epoch ordered late in the file
-          }
-          return;
-        }
-        if (kind->asString() == "quarantine") {
-          ParsedQuarantine quarantine;
-          if (!parseQuarantineRecord(record, quarantine)) {
-            ++stats.droppedMalformed;
-            return;
-          }
-          const auto [it, inserted] = quarantineAt.try_emplace(
-              {quarantine.key,
-               {quarantine.rec.first, quarantine.rec.count}},
-              kept.size());
-          if (inserted) {
-            quarantineBody.emplace(kept.size(), std::move(quarantine));
-            kept.push_back(std::move(record));
-          } else {
-            // Newest wins by file order (re-quarantines bump the count).
-            kept[it->second] = std::move(record);
-            quarantineBody.insert_or_assign(it->second,
-                                            std::move(quarantine));
-            ++stats.droppedQuarantines;
-          }
-          return;
-        }
-        ++stats.droppedMalformed;  // unknown record kind
-      });
-  stats.droppedMalformed += read.malformed;  // torn/unparseable lines
-  // Post-filter the newest leases: one superseded by a shard record for its
-  // range is done, and one past its heartbeat deadline (when the caller
-  // supplied a clock) is abandoned — both drop. A dropped lease's kept slot
-  // is voided in place so identity-order bookkeeping stays intact.
-  for (const auto& [index, lease] : leaseBody) {
-    const bool superseded =
-        shardAt.count(
-            {lease.key, {lease.rec.first, lease.rec.count}}) != 0;
-    const bool expired = nowMs != 0 && lease.rec.deadlineMs <= nowMs;
-    if (superseded || expired) {
-      kept[index] = util::Json();  // null sentinel: skipped when writing
-      leaseAt.erase({lease.key, {lease.rec.first, lease.rec.count}});
-      ++stats.droppedLeases;
-    }
-  }
-  // Same post-filter for quarantines: a shard record for the range proves
-  // the work got finished (a --force pass, or a fixed workload), so the
-  // verdict is moot.
-  for (const auto& [index, quarantine] : quarantineBody) {
-    if (shardAt.count({quarantine.key,
-                       {quarantine.rec.first, quarantine.rec.count}}) != 0) {
-      kept[index] = util::Json();
-      quarantineAt.erase(
-          {quarantine.key, {quarantine.rec.first, quarantine.rec.count}});
-      ++stats.droppedQuarantines;
-    }
-  }
-  stats.shardRecords = shardAt.size();
-  stats.workloadRecords = workloadAt.size();
-  stats.outcomeRecords = outcomeAt.size();
-  stats.cellRecords = cellAt.size();
-  stats.leaseRecords = leaseAt.size();
-  stats.quarantineRecords = quarantineAt.size();
-  // Already canonical (including the missing-file case): leave the file
-  // byte-identical instead of rewriting it.
-  if (stats.droppedDuplicates == 0 && stats.droppedMalformed == 0 &&
-      stats.droppedLeases == 0 && stats.droppedQuarantines == 0) {
-    return stats;
-  }
-  // Crash-safe rewrite: write a sibling temp file, then rename over the
-  // original — a reader never observes a half-written store. Remove any
-  // stale temp left by a killed compaction first: JsonlWriter opens in
-  // append mode, and renaming stale-lines-plus-fresh-lines over the store
-  // would reintroduce superseded records.
-  const std::string tmp = path + ".compact.tmp";
-  std::remove(tmp.c_str());
-  {
-    util::JsonlWriter writer(tmp);
-    if (!writer.ok()) return std::nullopt;
-    for (const util::Json& record : kept) {
-      if (record.isNull()) continue;  // dropped-lease sentinel
-      if (!writer.writeLine(record)) {
-        std::remove(tmp.c_str());
-        return std::nullopt;
-      }
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return std::nullopt;
-  }
-  stats.rewritten = true;
   return stats;
 }
 
@@ -809,7 +629,149 @@ bool writeRawLines(const std::string& path, const char* mode,
   return ok;
 }
 
+
+/// A store file's lines folded through the index in file order — the one
+/// read compact() and fsck() share. Every record identity, and every line
+/// of an unknown kind, owns a slot in first-seen order; a slot names the
+/// line of the record the index holds for it.
+struct FoldedLines {
+  /// What one raw line turned out to be.
+  struct Line {
+    enum class Is { Empty, Unparseable, Invalid, Unknown, Record } is =
+        Is::Empty;
+    Fold fold = Fold::Taken;  ///< (Record)
+    char tag = 0;             ///< identity kind tag (Record)
+    std::size_t slot = 0;     ///< (Record, Unknown)
+  };
+
+  Snapshot index;
+  std::vector<Line> lines;            ///< one per raw line
+  std::vector<std::size_t> slots;     ///< slot → held raw line
+  std::map<Identity, std::size_t> slotOf;
+
+  explicit FoldedLines(const RawLines& raw) : lines(raw.lines.size()) {
+    for (std::size_t i = 0; i < raw.lines.size(); ++i) {
+      Line& line = lines[i];
+      if (raw.lines[i].empty()) continue;  // torn-tail healing residue
+      const std::optional<util::Json> json = util::Json::parse(raw.lines[i]);
+      if (!json) {
+        line.is = Line::Is::Unparseable;
+        continue;
+      }
+      const Record record = parseRecord(*json);
+      if (std::holds_alternative<InvalidLine>(record)) {
+        line.is = Line::Is::Invalid;
+        continue;
+      }
+      if (std::holds_alternative<UnknownLine>(record)) {
+        line.is = Line::Is::Unknown;
+        line.slot = slots.size();
+        slots.push_back(i);
+        continue;
+      }
+      line.is = Line::Is::Record;
+      line.fold = foldRecord(index, record);
+      Identity id =
+          std::visit([](const auto& r) { return identity(r); }, record);
+      line.tag = std::get<0>(id);
+      const auto [it, fresh] = slotOf.try_emplace(std::move(id), slots.size());
+      if (fresh) {
+        slots.push_back(i);
+      } else if (line.fold == Fold::Taken) {
+        slots[it->second] = i;
+      }
+      line.slot = it->second;
+    }
+  }
+};
+
 }  // namespace
+
+std::optional<CampaignStore::CompactStats> CampaignStore::compact(
+    const std::string& path, std::uint64_t nowMs) {
+  CompactStats stats;
+  const RawLines raw = readRawLines(path);
+  FoldedLines folded(raw);
+  std::size_t leaseLines = 0;
+  std::size_t quarantineLines = 0;
+  std::size_t otherLines = 0;
+  for (const FoldedLines::Line& line : folded.lines) {
+    switch (line.is) {
+      case FoldedLines::Line::Is::Empty:
+        break;
+      case FoldedLines::Line::Is::Unparseable:
+      case FoldedLines::Line::Is::Invalid:
+        ++stats.droppedMalformed;
+        break;
+      case FoldedLines::Line::Is::Unknown:
+        ++stats.unknownKinds;
+        break;
+      case FoldedLines::Line::Is::Record:
+        ++(line.tag == 'l'   ? leaseLines
+           : line.tag == 'q' ? quarantineLines
+                             : otherLines);
+        break;
+    }
+  }
+  // A lease is done once a shard record for its range exists and abandoned
+  // once its deadline passed (when the caller supplied a clock); a
+  // quarantine is moot once the range got recorded after all (a --force
+  // pass, or a fixed workload). Their slots are voided, the rest kept.
+  constexpr std::size_t kVoid = ~std::size_t{0};
+  for (const auto& [key, c] : folded.index.campaigns) {
+    stats.shardRecords += c.shards.size();
+    for (const auto& [range, lease] : c.leases) {
+      if (c.shards.count(range) != 0 ||
+          (nowMs != 0 && lease.deadlineMs <= nowMs)) {
+        folded.slots[folded.slotOf.at(rangeIdentity('l', key, range))] =
+            kVoid;
+      } else {
+        ++stats.leaseRecords;
+      }
+    }
+    for (const auto& [range, quarantine] : c.quarantines) {
+      if (c.shards.count(range) != 0) {
+        folded.slots[folded.slotOf.at(rangeIdentity('q', key, range))] =
+            kVoid;
+      } else {
+        ++stats.quarantineRecords;
+      }
+    }
+  }
+  stats.workloadRecords = folded.index.workloads.size();
+  for (const auto& [key, entries] : folded.index.outcomes) {
+    stats.outcomeRecords += entries.size();
+  }
+  stats.cellRecords = folded.index.cellOrder.size();
+  stats.droppedDuplicates = otherLines - stats.shardRecords -
+                            stats.workloadRecords - stats.outcomeRecords -
+                            stats.cellRecords;
+  stats.droppedLeases = leaseLines - stats.leaseRecords;
+  stats.droppedQuarantines = quarantineLines - stats.quarantineRecords;
+  // Already canonical (including the missing-file case): leave the file
+  // byte-identical instead of rewriting it.
+  if (stats.droppedDuplicates == 0 && stats.droppedMalformed == 0 &&
+      stats.droppedLeases == 0 && stats.droppedQuarantines == 0) {
+    return stats;
+  }
+  // Crash-safe rewrite: write a sibling temp file, then rename over the
+  // original — a reader never observes a half-written store. The temp is
+  // truncated, so a stale one left by a killed compaction cannot leak
+  // superseded records back in.
+  std::vector<const std::string*> kept;
+  kept.reserve(folded.slots.size());
+  for (const std::size_t i : folded.slots) {
+    if (i != kVoid) kept.push_back(&raw.lines[i]);
+  }
+  const std::string tmp = path + ".compact.tmp";
+  if (!writeRawLines(tmp, "wb", kept) ||
+      std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return std::nullopt;
+  }
+  stats.rewritten = true;
+  return stats;
+}
 
 std::optional<CampaignStore::FsckStats> CampaignStore::fsck(
     const std::string& path, bool repair) {
@@ -817,82 +779,41 @@ std::optional<CampaignStore::FsckStats> CampaignStore::fsck(
   const RawLines raw = readRawLines(path);
   if (raw.missing) return stats;  // missing file: clean and empty
 
-  // Identity of a VALUE record (shard = 0, outcome = 1): records whose
-  // bytes the determinism contract fixes given their identity. Scheduling
-  // kinds (cell/lease/quarantine/workload) are legitimately re-appended
-  // with new content — newest wins at load — so every one of their lines
-  // is kept and none can "conflict".
-  using Identity = std::tuple<int, std::uint64_t, std::uint64_t,
-                              std::uint64_t>;
-  std::map<Identity, std::size_t> firstAt;  ///< identity → index in `kept`
-  std::vector<std::size_t> kept;            ///< surviving line indices
-  std::vector<std::size_t> quarantined;     ///< sidecar-bound line indices
-
+  const FoldedLines folded(raw);
+  std::vector<std::size_t> kept;         ///< surviving line indices
+  std::vector<std::size_t> quarantined;  ///< sidecar-bound line indices
   for (std::size_t i = 0; i < raw.lines.size(); ++i) {
-    const std::string& line = raw.lines[i];
-    if (line.empty()) continue;  // torn-tail healing residue; benign
-    const bool unterminatedTail =
-        i + 1 == raw.lines.size() && !raw.lastTerminated;
-    const std::optional<util::Json> record = util::Json::parse(line);
-    if (!record) {
-      // Unparseable: the unterminated final line is the classic torn write
-      // of a killed process; anything earlier is real mid-file damage.
-      if (unterminatedTail) {
-        ++stats.tornTail;
-      } else {
-        ++stats.garbage;
-      }
-      quarantined.push_back(i);
-      continue;
-    }
-    const std::uint64_t v = getUint(*record, "v", 0);
-    const util::Json* kind = record->find("kind");
-    if (v != kFormatVersion || kind == nullptr) {
-      ++stats.unknownKinds;  // possibly a future format: preserve verbatim
-      kept.push_back(i);
-      continue;
-    }
-    std::optional<Identity> identity;
-    bool valid = false;
-    if (kind->asString() == "shard") {
-      ParsedShard shard;
-      valid = parseShardRecord(*record, shard);
-      if (valid) identity = Identity{0, shard.key, shard.first, shard.count};
-    } else if (kind->asString() == "outcome") {
-      ParsedOutcome outcome;
-      valid = parseOutcomeRecord(*record, outcome);
-      if (valid) {
-        identity =
-            Identity{1, outcome.key, outcome.rec.boundary, outcome.rec.hash};
-      }
-    } else if (kind->asString() == "workload") {
-      WorkloadRecord rec;
-      valid = parseWorkloadRecord(*record, rec);
-    } else if (kind->asString() == "cell") {
-      CellRecord rec;
-      valid = parseCellRecord(*record, rec);
-    } else if (kind->asString() == "lease") {
-      ParsedLease lease;
-      valid = parseLeaseRecord(*record, lease);
-    } else if (kind->asString() == "quarantine") {
-      ParsedQuarantine quarantine;
-      valid = parseQuarantineRecord(*record, quarantine);
-    } else {
-      ++stats.unknownKinds;
-      kept.push_back(i);
-      continue;
-    }
-    if (!valid) {
-      // Parses as JSON but fails the kind's validation — a mangled (e.g.
-      // byte-flipped) record. load() skips it; repair quarantines it.
-      ++stats.integrityFailures;
-      quarantined.push_back(i);
-      continue;
-    }
-    if (identity) {
-      const auto [it, inserted] = firstAt.try_emplace(*identity, i);
-      if (!inserted) {
-        if (raw.lines[it->second] == line) {
+    const FoldedLines::Line& line = folded.lines[i];
+    switch (line.is) {
+      case FoldedLines::Line::Is::Empty:
+        break;
+      case FoldedLines::Line::Is::Unparseable:
+        // The unterminated final line is the classic torn write of a
+        // killed process; anything earlier is real mid-file damage.
+        if (i + 1 == raw.lines.size() && !raw.lastTerminated) {
+          ++stats.tornTail;
+        } else {
+          ++stats.garbage;
+        }
+        quarantined.push_back(i);
+        break;
+      case FoldedLines::Line::Is::Invalid:
+        // Parses as JSON but fails the kind's validation — a mangled (e.g.
+        // byte-flipped) record. load() skips it; repair quarantines it.
+        ++stats.integrityFailures;
+        quarantined.push_back(i);
+        break;
+      case FoldedLines::Line::Is::Unknown:
+        ++stats.unknownKinds;  // possibly a later format: kept verbatim
+        kept.push_back(i);
+        break;
+      case FoldedLines::Line::Is::Record:
+        if (line.fold != Fold::Repeat) {
+          // Newest-wins kinds are legitimately re-appended with new
+          // content, so every one of their lines is kept.
+          ++stats.validRecords;
+          kept.push_back(i);
+        } else if (raw.lines[folded.slots[line.slot]] == raw.lines[i]) {
           ++stats.duplicateLines;  // benign cross-process re-record
         } else {
           // Same identity, different bytes: the determinism contract says
@@ -901,11 +822,8 @@ std::optional<CampaignStore::FsckStats> CampaignStore::fsck(
           ++stats.conflicts;
           quarantined.push_back(i);
         }
-        continue;
-      }
+        break;
     }
-    ++stats.validRecords;
-    kept.push_back(i);
   }
   stats.quarantinedLines = quarantined.size();
 
@@ -913,79 +831,24 @@ std::optional<CampaignStore::FsckStats> CampaignStore::fsck(
 
   // Quarantine sidecar first (append — successive fscks accumulate), then
   // the crash-safe rewrite: surviving lines byte-identical, temp + rename.
-  if (!quarantined.empty()) {
+  const auto linesAt = [&raw](const std::vector<std::size_t>& at) {
     std::vector<const std::string*> lines;
-    lines.reserve(quarantined.size());
-    for (const std::size_t i : quarantined) lines.push_back(&raw.lines[i]);
-    if (!writeRawLines(path + ".quarantined", "ab", lines)) {
-      return std::nullopt;
-    }
+    lines.reserve(at.size());
+    for (const std::size_t i : at) lines.push_back(&raw.lines[i]);
+    return lines;
+  };
+  if (!quarantined.empty() &&
+      !writeRawLines(path + ".quarantined", "ab", linesAt(quarantined))) {
+    return std::nullopt;
   }
   const std::string tmp = path + ".fsck.tmp";
-  std::remove(tmp.c_str());
-  {
-    std::vector<const std::string*> lines;
-    lines.reserve(kept.size());
-    for (const std::size_t i : kept) lines.push_back(&raw.lines[i]);
-    if (!writeRawLines(tmp, "wb", lines)) {
-      std::remove(tmp.c_str());
-      return std::nullopt;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+  if (!writeRawLines(tmp, "wb", linesAt(kept)) ||
+      std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return std::nullopt;
   }
   stats.rewritten = true;
   return stats;
-}
-
-bool CampaignStore::indexShard(std::uint64_t key, ShardRange range,
-                               ShardAggregate agg) {
-  // First record wins: by the determinism contract a duplicate carries the
-  // same aggregates, and keep-first makes replays of a partially-resumed
-  // store idempotent.
-  return shards_[key].emplace(range, std::move(agg)).second;
-}
-
-bool CampaignStore::indexCell(const CellRecord& record) {
-  const auto [it, inserted] =
-      cellIndex_.try_emplace(record.key, cellOrder_.size());
-  if (inserted) {
-    cellOrder_.push_back(record);
-    return true;
-  }
-  if (cellOrder_[it->second] == record) return false;  // exact duplicate
-  cellOrder_[it->second] = record;  // newest wins (scheduling metadata only)
-  return true;
-}
-
-bool CampaignStore::indexLease(std::uint64_t key, const LeaseRecord& record) {
-  auto& ranges = leases_[key];
-  const auto it = ranges.find(ShardRange{record.first, record.count});
-  if (it == ranges.end()) {
-    ranges.emplace(ShardRange{record.first, record.count}, record);
-    return true;
-  }
-  // Newest wins: a higher epoch always, a renewal within the current epoch
-  // by file order (appends are time-ordered). A stale epoch is ignored.
-  if (record.epoch < it->second.epoch || it->second == record) return false;
-  it->second = record;
-  return true;
-}
-
-bool CampaignStore::indexQuarantine(std::uint64_t key,
-                                    const QuarantineRecord& record) {
-  auto& ranges = quarantines_[key];
-  const auto it = ranges.find(ShardRange{record.first, record.count});
-  if (it == ranges.end()) {
-    ranges.emplace(ShardRange{record.first, record.count}, record);
-    return true;
-  }
-  // Newest wins by append order: a re-quarantine bumps the crash count.
-  if (it->second == record) return false;
-  it->second = record;
-  return true;
 }
 
 bool CampaignStore::writeRecord(const util::Json& record) {
@@ -1018,6 +881,7 @@ bool CampaignStore::lastWriteOutOfSpace() const noexcept {
 #endif
 }
 
+
 bool CampaignStore::appendShard(const CampaignMeta& meta,
                                 std::size_t shardIndex,
                                 std::size_t firstExperiment,
@@ -1047,19 +911,16 @@ bool CampaignStore::appendShard(const CampaignMeta& meta,
   record.set("outcomes", stats::toJson(aggregate.counts));
   record.set("hist", histToJson(aggregate.hist));
 
+  const Range range{firstExperiment, experimentCount};
   OptionalLockGuard fileGuard(fileLock_.get());
   std::lock_guard lock(mutex_);
   // Known already (loaded from disk or appended via this instance): the
   // record on file is identical by the determinism contract — skip the
   // write so record-only reruns keep the store canonical.
-  const auto campaign = shards_.find(meta.key);
-  if (campaign != shards_.end() &&
-      campaign->second.count({firstExperiment, experimentCount}) != 0) {
-    return true;
-  }
+  const Snapshot::Campaign* c = campaign(meta.key);
+  if (c != nullptr && c->shards.count(range) != 0) return true;
   if (!writeRecord(record)) return false;
-  metas_.try_emplace(meta.key, meta);
-  indexShard(meta.key, {firstExperiment, experimentCount}, aggregate);
+  fold(index_, ShardLine{meta, range, aggregate});
   return true;
 }
 
@@ -1080,12 +941,12 @@ bool CampaignStore::appendWorkload(const WorkloadRecord& rec) {
 
   OptionalLockGuard fileGuard(fileLock_.get());
   std::lock_guard lock(mutex_);
-  const auto existing = workloads_.find(rec.name);
-  if (existing != workloads_.end() && existing->second == rec) {
+  const auto existing = index_.workloads.find(rec.name);
+  if (existing != index_.workloads.end() && existing->second == rec) {
     return true;  // identical record already on file
   }
   if (!writeRecord(record)) return false;
-  workloads_.insert_or_assign(rec.name, rec);
+  fold(index_, rec);
   return true;
 }
 
@@ -1105,13 +966,13 @@ bool CampaignStore::appendOutcome(std::uint64_t cacheKey,
 
   OptionalLockGuard fileGuard(fileLock_.get());
   std::lock_guard lock(mutex_);
-  const auto cache = outcomes_.find(cacheKey);
-  if (cache != outcomes_.end() &&
+  const auto cache = index_.outcomes.find(cacheKey);
+  if (cache != index_.outcomes.end() &&
       cache->second.count({rec.boundary, rec.hash}) != 0) {
     return true;  // already on file; entry values are key-determined
   }
   if (!writeRecord(record)) return false;
-  outcomes_[cacheKey].emplace(OutcomeKey{rec.boundary, rec.hash}, rec);
+  fold(index_, OutcomeLine{cacheKey, rec});
   return true;
 }
 
@@ -1123,29 +984,48 @@ bool CampaignStore::appendCell(const CellRecord& rec) {
   const util::Json record = cellToJson(rec);
   OptionalLockGuard fileGuard(fileLock_.get());
   std::lock_guard lock(mutex_);
-  const auto it = cellIndex_.find(rec.key);
-  if (it != cellIndex_.end() && cellOrder_[it->second] == rec) {
+  const Snapshot::Campaign* c = campaign(rec.key);
+  if (c != nullptr && c->cell == rec) {
     return true;  // identical submission already on file
   }
   if (!writeRecord(record)) return false;
-  indexCell(rec);
+  fold(index_, rec);
   return true;
 }
+
+namespace {
+
+/// The record `held` indexes for (first, count), or nullptr.
+template <class Rec>
+const Rec* heldAt(const std::map<Range, Rec>& held, std::size_t first,
+                  std::size_t count) {
+  const auto it = held.find(Range{first, count});
+  return it != held.end() ? &it->second : nullptr;
+}
+
+template <class Rec>
+std::vector<Rec> valuesOf(const std::map<Range, Rec>& held) {
+  std::vector<Rec> out;
+  out.reserve(held.size());
+  for (const auto& [range, rec] : held) out.push_back(rec);
+  return out;
+}
+
+}  // namespace
 
 bool CampaignStore::appendLease(std::uint64_t key, const LeaseRecord& rec) {
   if (rec.count == 0 || rec.epoch == 0 || rec.worker.empty()) return false;
   const util::Json record = leaseToJson(key, rec);
   OptionalLockGuard fileGuard(fileLock_.get());
   std::lock_guard lock(mutex_);
-  const auto ranges = leases_.find(key);
-  if (ranges != leases_.end()) {
-    const auto it = ranges->second.find(ShardRange{rec.first, rec.count});
-    if (it != ranges->second.end() && it->second == rec) {
-      return true;  // identical lease already the live one
-    }
+  const Snapshot::Campaign* c = campaign(key);
+  const LeaseRecord* live =
+      c != nullptr ? heldAt(c->leases, rec.first, rec.count) : nullptr;
+  if (live != nullptr && *live == rec) {
+    return true;  // identical lease already the live one
   }
   if (!writeRecord(record)) return false;
-  indexLease(key, rec);
+  fold(index_, LeaseLine{key, rec});
   return true;
 }
 
@@ -1155,76 +1035,79 @@ bool CampaignStore::appendQuarantine(std::uint64_t key,
   const util::Json record = quarantineToJson(key, rec);
   OptionalLockGuard fileGuard(fileLock_.get());
   std::lock_guard lock(mutex_);
-  const auto ranges = quarantines_.find(key);
-  if (ranges != quarantines_.end()) {
-    const auto it = ranges->second.find(ShardRange{rec.first, rec.count});
-    if (it != ranges->second.end() && it->second == rec) {
-      return true;  // identical verdict already the live one
-    }
+  const Snapshot::Campaign* c = campaign(key);
+  const QuarantineRecord* live =
+      c != nullptr ? heldAt(c->quarantines, rec.first, rec.count) : nullptr;
+  if (live != nullptr && *live == rec) {
+    return true;  // identical verdict already the live one
   }
   if (!writeRecord(record)) return false;
-  indexQuarantine(key, rec);
+  fold(index_, QuarantineLine{key, rec});
   return true;
+}
+
+const CampaignStore::Snapshot::Campaign* CampaignStore::campaign(
+    std::uint64_t key) const {
+  const auto it = index_.campaigns.find(key);
+  return it != index_.campaigns.end() ? &it->second : nullptr;
 }
 
 std::optional<CampaignStore::QuarantineRecord> CampaignStore::findQuarantine(
     std::uint64_t key, std::size_t first, std::size_t count) const {
   std::lock_guard lock(mutex_);
-  const auto ranges = quarantines_.find(key);
-  if (ranges == quarantines_.end()) return std::nullopt;
-  const auto it = ranges->second.find(ShardRange{first, count});
-  if (it == ranges->second.end()) return std::nullopt;
-  return it->second;
+  const Snapshot::Campaign* c = campaign(key);
+  const QuarantineRecord* rec =
+      c != nullptr ? heldAt(c->quarantines, first, count) : nullptr;
+  return rec != nullptr ? std::optional(*rec) : std::nullopt;
 }
 
 std::vector<CampaignStore::QuarantineRecord> CampaignStore::quarantines(
     std::uint64_t key) const {
   std::lock_guard lock(mutex_);
-  std::vector<QuarantineRecord> out;
-  const auto ranges = quarantines_.find(key);
-  if (ranges == quarantines_.end()) return out;
-  for (const auto& [range, rec] : ranges->second) out.push_back(rec);
-  return out;
+  const Snapshot::Campaign* c = campaign(key);
+  return c != nullptr ? valuesOf(c->quarantines)
+                      : std::vector<QuarantineRecord>{};
 }
 
 const CampaignStore::CellRecord* CampaignStore::findCell(
     std::uint64_t key) const {
   std::lock_guard lock(mutex_);
-  const auto it = cellIndex_.find(key);
-  return it != cellIndex_.end() ? &cellOrder_[it->second] : nullptr;
+  const Snapshot::Campaign* c = campaign(key);
+  return c != nullptr && c->cell ? &*c->cell : nullptr;
 }
 
 std::vector<CampaignStore::CellRecord> CampaignStore::cells() const {
   std::lock_guard lock(mutex_);
-  return cellOrder_;
+  std::vector<CellRecord> out;
+  out.reserve(index_.cellOrder.size());
+  for (const std::uint64_t key : index_.cellOrder) {
+    out.push_back(*index_.campaigns.at(key).cell);
+  }
+  return out;
 }
 
 std::optional<CampaignStore::LeaseRecord> CampaignStore::latestLease(
     std::uint64_t key, std::size_t first, std::size_t count) const {
   std::lock_guard lock(mutex_);
-  const auto ranges = leases_.find(key);
-  if (ranges == leases_.end()) return std::nullopt;
-  const auto it = ranges->second.find(ShardRange{first, count});
-  if (it == ranges->second.end()) return std::nullopt;
-  return it->second;
+  const Snapshot::Campaign* c = campaign(key);
+  const LeaseRecord* rec =
+      c != nullptr ? heldAt(c->leases, first, count) : nullptr;
+  return rec != nullptr ? std::optional(*rec) : std::nullopt;
 }
 
 std::vector<CampaignStore::LeaseRecord> CampaignStore::leases(
     std::uint64_t key) const {
   std::lock_guard lock(mutex_);
-  std::vector<LeaseRecord> out;
-  const auto ranges = leases_.find(key);
-  if (ranges == leases_.end()) return out;
-  for (const auto& [range, rec] : ranges->second) out.push_back(rec);
-  return out;
+  const Snapshot::Campaign* c = campaign(key);
+  return c != nullptr ? valuesOf(c->leases) : std::vector<LeaseRecord>{};
 }
 
 std::vector<CampaignStore::OutcomeRecord> CampaignStore::outcomes(
     std::uint64_t cacheKey) const {
   std::lock_guard lock(mutex_);
   std::vector<OutcomeRecord> out;
-  const auto cache = outcomes_.find(cacheKey);
-  if (cache == outcomes_.end()) return out;
+  const auto cache = index_.outcomes.find(cacheKey);
+  if (cache == index_.outcomes.end()) return out;
   out.reserve(cache->second.size());
   for (const auto& [key, rec] : cache->second) out.push_back(rec);
   return out;
@@ -1234,64 +1117,90 @@ const CampaignStore::ShardAggregate* CampaignStore::findShard(
     std::uint64_t key, std::size_t firstExperiment,
     std::size_t experimentCount) const {
   std::lock_guard lock(mutex_);
-  const auto campaign = shards_.find(key);
-  if (campaign == shards_.end()) return nullptr;
-  const auto shard =
-      campaign->second.find(ShardRange{firstExperiment, experimentCount});
-  return shard != campaign->second.end() ? &shard->second : nullptr;
+  const Snapshot::Campaign* c = campaign(key);
+  return c != nullptr ? heldAt(c->shards, firstExperiment, experimentCount)
+                      : nullptr;
 }
 
 std::size_t CampaignStore::recordedExperiments(std::uint64_t key) const {
   std::lock_guard lock(mutex_);
-  const auto campaign = shards_.find(key);
-  if (campaign == shards_.end()) return 0;
-  std::size_t total = 0;
-  for (const auto& [range, agg] : campaign->second) total += range.second;
-  return total;
+  const Snapshot::Campaign* c = campaign(key);
+  return c != nullptr ? c->recordedExperiments() : 0;
 }
 
 const CampaignStore::WorkloadRecord* CampaignStore::findWorkload(
     std::string_view name) const {
   std::lock_guard lock(mutex_);
-  const auto it = workloads_.find(name);
-  return it != workloads_.end() ? &it->second : nullptr;
+  const auto it = index_.workloads.find(name);
+  return it != index_.workloads.end() ? &it->second : nullptr;
 }
 
 CampaignStore::Snapshot CampaignStore::snapshot() const {
-  // One mutex acquisition, full copy: Snapshot consumers hold nothing of the
-  // store afterwards (see the Snapshot doc comment). The file lock is NOT
-  // taken — this reads the in-memory index only, so it can never contend
-  // with other processes appending to a shared fleet store.
+  // The file lock is NOT taken: this copies the in-memory index only, so it
+  // can never contend with other processes appending to a shared store.
   std::lock_guard lock(mutex_);
-  Snapshot snap;
-  for (const auto& [key, ranges] : shards_) {
-    Snapshot::Campaign& c = snap.campaigns[key];
-    c.meta.key = key;
-    c.shards = ranges;
+  return index_;
+}
+
+void CampaignStore::Snapshot::merge(const Snapshot& later) {
+  for (const std::uint64_t key : later.cellOrder) {
+    fold(*this, *later.campaigns.at(key).cell);
   }
-  for (const auto& [key, meta] : metas_) {
-    snap.campaigns[key].meta = meta;
+  for (const auto& [key, c] : later.campaigns) {
+    for (const auto& [range, agg] : c.shards) {
+      fold(*this, ShardLine{c.meta, range, agg});
+    }
+    for (const auto& [range, lease] : c.leases) {
+      fold(*this, LeaseLine{key, lease});
+    }
+    for (const auto& [range, quarantine] : c.quarantines) {
+      fold(*this, QuarantineLine{key, quarantine});
+    }
   }
-  for (const CellRecord& cell : cellOrder_) {
-    Snapshot::Campaign& c = snap.campaigns[cell.key];
-    c.meta.key = cell.key;
-    c.cell = cell;
+  for (const auto& [name, rec] : later.workloads) fold(*this, rec);
+  for (const auto& [key, entries] : later.outcomes) {
+    for (const auto& [at, rec] : entries) fold(*this, OutcomeLine{key, rec});
   }
-  for (const auto& [key, ranges] : leases_) {
-    Snapshot::Campaign& c = snap.campaigns[key];
-    c.meta.key = key;
-    c.leases = ranges;
-  }
-  for (const auto& [key, ranges] : quarantines_) {
-    Snapshot::Campaign& c = snap.campaigns[key];
-    c.meta.key = key;
-    c.quarantines = ranges;
-  }
-  snap.workloads = workloads_;
-  for (const auto& [key, entries] : outcomes_) {
-    snap.outcomeEntries[key] = entries.size();
-  }
-  return snap;
+}
+
+std::size_t CampaignStore::Snapshot::Campaign::recordedExperiments() const {
+  std::size_t total = 0;
+  for (const auto& [range, agg] : shards) total += range.second;
+  return total;
+}
+
+stats::OutcomeCounts CampaignStore::Snapshot::Campaign::totals() const {
+  stats::OutcomeCounts counts;
+  for (const auto& [range, agg] : shards) counts.merge(agg.counts);
+  return counts;
+}
+
+ActivationHistogram CampaignStore::Snapshot::Campaign::histogram() const {
+  ActivationHistogram hist{};
+  for (const auto& [range, agg] : shards) mergeHistogram(hist, agg.hist);
+  return hist;
+}
+
+bool CampaignStore::Snapshot::Campaign::complete() const {
+  const std::size_t expected = expectedExperiments();
+  return expected != 0 && recordedExperiments() == expected;
+}
+
+std::size_t CampaignStore::Snapshot::Campaign::expectedExperiments() const {
+  if (meta.experiments != 0) return meta.experiments;
+  return cell ? cell->experiments : 0;
+}
+
+const std::string& CampaignStore::Snapshot::Campaign::workload() const {
+  return meta.workload.empty() && cell ? cell->workload : meta.workload;
+}
+
+const std::string& CampaignStore::Snapshot::Campaign::specLabel() const {
+  return meta.specLabel.empty() && cell ? cell->spec : meta.specLabel;
+}
+
+std::uint64_t CampaignStore::Snapshot::Campaign::seed() const {
+  return meta.experiments == 0 && cell ? cell->seed : meta.seed;
 }
 
 }  // namespace onebit::fi

@@ -58,11 +58,9 @@
 //   `epoch` is the claim generation for that (key, range): a worker
 //   re-leasing an abandoned shard appends epoch+1, heartbeat renewals
 //   re-append the same epoch with a pushed-out `deadline` (util::wallClockMs
-//   milliseconds). The NEWEST lease per (key, range) — highest epoch, latest
-//   record within an epoch — is the live one; a lease is superseded the
-//   moment a shard record for its range exists. Leases are pure scheduling:
-//   results are assembled from shard records alone, so a stale, raced, or
-//   double-claimed lease can waste work but never change an outcome.
+//   milliseconds). Leases are pure scheduling: results are assembled from
+//   shard records alone, so a stale, raced, or double-claimed lease can
+//   waste work but never change an outcome.
 //   A completion renewal may carry `cost_ms` — the observed wall-clock of
 //   running the shard — which adaptive lease deadlines (fi/fleet.hpp)
 //   aggregate per cell. Cost lives in lease records, never shard records,
@@ -75,9 +73,12 @@
 //   fleet converges on everything else instead of crash-looping:
 //     {"v":1,"kind":"quarantine","key":"0x<16 hex>","first":96,"count":32,
 //      "crashes":3,"worker":"1234:3f2a","reason":"worker died mid-lease"}
-//   The newest record per (key, range) wins (re-quarantining updates the
-//   crash count). A shard record for the range supersedes it — the work got
-//   done after all (e.g. by a `--force` pass) — and compact() then drops it.
+//
+// Record precedence — which of two records with one identity the index
+// holds, what compact() drops and what fsck() quarantines — is one table in
+// docs/ARCHITECTURE.md ("Record precedence") and one fold in
+// campaign_store.cpp, which load/refresh, compact, fsck and Snapshot::merge
+// (the analytics Dataset) all go through.
 //
 // Writer concurrency: by default a store instance assumes it is the ONLY
 // writer process (appends are dedup'd against the in-memory index and
@@ -88,8 +89,7 @@
 // interleave a line, and a line half-written by a crashed worker is healed
 // (newline-terminated) before the next append instead of swallowing it.
 // Cross-process appends bypass each other's in-memory dedup, so a shared
-// store accumulates duplicate records; load() keeps the first of each and
-// compact() drops the rest.
+// store accumulates duplicate records; compact() drops them.
 //
 // Campaign key: a 64-bit hash of everything the determinism contract says a
 // campaign result depends on — the full FaultModel (technique, max-MBF,
@@ -160,6 +160,8 @@ class CampaignStore {
   struct ShardAggregate {
     stats::OutcomeCounts counts;
     ActivationHistogram hist{};
+
+    bool operator==(const ShardAggregate&) const = default;
   };
 
   /// Campaign-level metadata carried by each shard record (for humans and
@@ -171,6 +173,8 @@ class CampaignStore {
     std::uint64_t seed = 0;
     std::size_t experiments = 0;
     std::uint64_t candidates = 0;
+
+    bool operator==(const CampaignMeta&) const = default;
   };
 
   /// One profiled Table II program (bench_table2_candidates).
@@ -224,9 +228,8 @@ class CampaignStore {
     }
   };
 
-  /// One shard-range claim (kind "lease"). The newest lease per
-  /// (key, first, count) — highest epoch, then latest record — is the live
-  /// one; see the file header for the protocol.
+  /// One shard-range claim (kind "lease"); see the file header for the
+  /// protocol.
   struct LeaseRecord {
     std::size_t first = 0;
     std::size_t count = 0;
@@ -243,8 +246,7 @@ class CampaignStore {
   };
 
   /// One poison-shard verdict (kind "quarantine"): the supervisor observed
-  /// `crashes` worker deaths mid-lease on this range. Newest per
-  /// (key, first, count) wins; a shard record for the range supersedes it.
+  /// `crashes` worker deaths mid-lease on this range.
   struct QuarantineRecord {
     std::size_t first = 0;
     std::size_t count = 0;
@@ -262,6 +264,8 @@ class CampaignStore {
     stats::Outcome outcome = stats::Outcome::Benign;
     vm::TrapKind trap = vm::TrapKind::None;
     std::uint64_t instructions = 0;  ///< final faulty instruction count
+
+    bool operator==(const OutcomeRecord&) const = default;
   };
 
   struct LoadStats {
@@ -273,7 +277,10 @@ class CampaignStore {
     std::size_t quarantineRecords = 0;  ///< accepted quarantine records
     std::size_t malformed = 0;  ///< unparseable or integrity-failing lines
                                 ///< (incl. a torn final line)
-    std::size_t duplicates = 0;  ///< re-recorded shards (first one wins)
+    /// Valid records of any kind that left the index unchanged: a
+    /// re-recorded shard or outcome, an identical cell, lease or quarantine,
+    /// or a lease of a stale epoch.
+    std::size_t duplicates = 0;
     /// Of `malformed`: lines that parsed as JSON but carried an unknown
     /// record kind or a foreign format version — possibly a future format
     /// (fsck preserves them), as opposed to actual damage.
@@ -311,6 +318,7 @@ class CampaignStore {
     std::size_t droppedLeases = 0;  ///< expired/superseded leases dropped
     std::size_t droppedQuarantines = 0;  ///< superseded quarantines dropped
     std::size_t droppedMalformed = 0;   ///< torn/invalid lines dropped
+    std::size_t unknownKinds = 0;  ///< unknown kind/version lines (kept)
     bool rewritten = false;  ///< false = file was already canonical
   };
 
@@ -334,7 +342,7 @@ class CampaignStore {
     bool rewritten = false;           ///< repair actually rewrote the file
 
     /// Evidence of corruption (distinct from benign duplicates): these are
-    /// the conditions fsck_store's exit code reports.
+    /// the conditions `store fsck` reports with exit code 5.
     [[nodiscard]] bool corrupt() const noexcept {
       return tornTail + garbage + integrityFailures + conflicts != 0;
     }
@@ -397,25 +405,22 @@ class CampaignStore {
   /// of every completed claim sequence.
   LoadStats refresh();
 
-  /// Rewrite the JSONL store at `path` in place, keeping only the newest
-  /// record per (campaign key, shard range) and per workload name, and
-  /// dropping torn or integrity-failing lines — the maintenance pass for a
-  /// store grown by interrupted runs or by several concurrent writer
-  /// processes (whose appends bypass each other's in-memory dedup index).
-  /// Resuming from a compacted store is identical to resuming from the
-  /// original: the surviving records are exactly the ones load() would
-  /// index. Crash-safe (temp file + rename); a file that is already
-  /// canonical is left untouched byte for byte. Returns nullopt on I/O
-  /// failure (the original file is preserved). Do not run it on a store an
-  /// open CampaignStore instance is appending to.
-  ///
-  /// Fleet records: cells keep the newest per key; leases keep the newest
-  /// per (key, range) UNLESS superseded by a shard record for that range
-  /// or — when `nowMs` is nonzero (pass util::wallClockMs()) — expired
-  /// (deadline <= nowMs). Pass nowMs = 0 to keep every unsuperseded lease
-  /// regardless of age (time-independent compaction, e.g. in tests).
-  /// Quarantine records keep the newest per (key, range) unless a shard
-  /// record for the range exists (the shard got finished after all).
+  /// Rewrite the JSONL store at `path` in place, keeping, at each record
+  /// identity's first-seen position, the line of the record load() indexes
+  /// for it — so loading the compacted store indexes exactly what loading
+  /// the original does, apart from the leases and quarantines compact drops
+  /// (superseded by a shard record; a lease also once its deadline is at or
+  /// before `nowMs`, when `nowMs` is nonzero — pass util::wallClockMs(), or 0
+  /// for time-independent compaction). Torn and integrity-failing lines are
+  /// dropped; lines of an unknown kind or foreign version (possibly a later
+  /// format) are kept verbatim in place. Surviving lines are byte-identical
+  /// to the original's. The maintenance pass for a store grown by
+  /// interrupted runs or by several concurrent writer processes (whose
+  /// appends bypass each other's in-memory dedup index). Crash-safe (temp
+  /// file + rename); a file that is already canonical is left untouched
+  /// byte for byte. Returns nullopt on I/O failure (the original file is
+  /// preserved). Do not run it on a store an open CampaignStore instance is
+  /// appending to.
   static std::optional<CompactStats> compact(const std::string& path,
                                              std::uint64_t nowMs = 0);
 
@@ -521,11 +526,15 @@ class CampaignStore {
   /// A shard-range key: (first experiment, experiment count).
   using Range = std::pair<std::size_t, std::size_t>;
 
-  /// A self-contained copy of the whole in-memory index, taken under ONE
-  /// mutex acquisition — the read surface for external consumers
+  /// (boundary, state hash): an outcome-cache entry's identity.
+  using OutcomeKey = std::pair<std::uint64_t, std::uint64_t>;
+
+  /// The store's index: for every record identity, the record that won it.
+  /// A store keeps one and snapshot() copies it, taken under ONE mutex
+  /// acquisition — the read surface for external consumers
   /// (src/analytics/): nothing of the store is held while a Snapshot is
   /// processed, so readers never block appending writers or observe a
-  /// half-indexed refresh. The copy is immutable and survives any later
+  /// half-indexed refresh. The copy survives any later
   /// load()/refresh()/append on the source store.
   struct Snapshot {
     /// Everything indexed under one campaign key. `meta` is stamped from
@@ -535,15 +544,50 @@ class CampaignStore {
     struct Campaign {
       CampaignMeta meta;
       std::optional<CellRecord> cell;  ///< fleet submission, when present
-      std::map<Range, ShardAggregate> shards;       ///< first-wins
-      std::map<Range, LeaseRecord> leases;          ///< newest per range
-      std::map<Range, QuarantineRecord> quarantines;  ///< newest per range
+      std::map<Range, ShardAggregate> shards;
+      std::map<Range, LeaseRecord> leases;
+      std::map<Range, QuarantineRecord> quarantines;
+
+      bool operator==(const Campaign&) const = default;
+
+      /// Experiments covered by recorded shards.
+      [[nodiscard]] std::size_t recordedExperiments() const;
+      /// Outcome totals over recorded shards (PARTIAL when !complete()).
+      [[nodiscard]] stats::OutcomeCounts totals() const;
+      /// Activation histogram merged over recorded shards.
+      [[nodiscard]] ActivationHistogram histogram() const;
+      /// True when every experiment of the campaign is recorded. False also
+      /// when the campaign size is unknown (expectedExperiments() == 0): a
+      /// partial tally is never promoted to a final result.
+      [[nodiscard]] bool complete() const;
+      /// Campaign size, from shard meta or (failing that) the cell record
+      /// (0 = unknown).
+      [[nodiscard]] std::size_t expectedExperiments() const;
+      /// Identity fields, preferring shard meta, falling back to the cell
+      /// record of a submitted-but-unstarted campaign.
+      [[nodiscard]] const std::string& workload() const;
+      [[nodiscard]] const std::string& specLabel() const;
+      [[nodiscard]] std::uint64_t seed() const;
+      /// The flip width, when a cell record carries it (0 = unknown — shard
+      /// records do not store it).
+      [[nodiscard]] unsigned flipWidth() const {
+        return cell ? cell->flipWidth : 0;
+      }
     };
-    std::map<std::uint64_t, Campaign> campaigns;  ///< key-ordered
+    /// By campaign key; unordered, so a reader that prints sorts by key.
+    std::unordered_map<std::uint64_t, Campaign> campaigns;
+    /// The keys of every campaign with a cell, in first-submission order.
+    std::vector<std::uint64_t> cellOrder;
     std::map<std::string, WorkloadRecord, std::less<>> workloads;
-    /// Outcome-cache entry count per cache key (analytics only needs the
-    /// volume; resume reads entries through outcomes()).
-    std::map<std::uint64_t, std::size_t> outcomeEntries;
+    /// Outcome-cache entries per cache key.
+    std::map<std::uint64_t, std::map<OutcomeKey, OutcomeRecord>> outcomes;
+
+    bool operator==(const Snapshot&) const = default;
+
+    /// Fold every record `later` holds into this index by the store's one
+    /// precedence rule, as if `later`'s file were appended to this one's:
+    /// the merge of the indexes of files A and B equals the index of A+B.
+    void merge(const Snapshot& later);
   };
 
   /// Copy the current index (see Snapshot). Safe to call on a store other
@@ -573,15 +617,10 @@ class CampaignStore {
   [[nodiscard]] bool lastWriteOutOfSpace() const noexcept;
 
  private:
-  using ShardRange = Range;  ///< (first, count)
-  using OutcomeKey = std::pair<std::uint64_t, std::uint64_t>;  ///< (bnd, hash)
-
-  bool indexShard(std::uint64_t key, ShardRange range, ShardAggregate agg);
-  bool indexCell(const CellRecord& record);
-  bool indexLease(std::uint64_t key, const LeaseRecord& record);
-  bool indexQuarantine(std::uint64_t key, const QuarantineRecord& record);
   void clearIndex();
   LoadStats readInto(std::uint64_t offset, bool consumeTail);
+  /// The indexed campaign `key`, or nullptr. Callers hold mutex_.
+  const Snapshot::Campaign* campaign(std::uint64_t key) const;
   bool writeRecord(const util::Json& record);
 
   std::string path_;
@@ -591,22 +630,7 @@ class CampaignStore {
   std::unique_ptr<util::FileLock> fileLock_;   ///< Atomic mode only
   std::unique_ptr<util::AtomicAppend> appender_;  ///< opened on first append
   std::uint64_t readOffset_ = 0;  ///< resume point for refresh()
-  std::unordered_map<std::uint64_t, std::map<ShardRange, ShardAggregate>>
-      shards_;
-  /// Campaign meta per key, from the first shard record seen (first-wins,
-  /// like the shard index) — serves snapshot() so analytics can match
-  /// records by (workload, spec, seed, experiments) without recomputing
-  /// campaign keys (which would need compiled workloads).
-  std::unordered_map<std::uint64_t, CampaignMeta> metas_;
-  std::map<std::string, WorkloadRecord, std::less<>> workloads_;
-  std::unordered_map<std::uint64_t, std::map<OutcomeKey, OutcomeRecord>>
-      outcomes_;
-  std::vector<CellRecord> cellOrder_;  ///< first-submission order
-  std::unordered_map<std::uint64_t, std::size_t> cellIndex_;  ///< key → idx
-  std::unordered_map<std::uint64_t, std::map<ShardRange, LeaseRecord>>
-      leases_;
-  std::unordered_map<std::uint64_t, std::map<ShardRange, QuarantineRecord>>
-      quarantines_;
+  Snapshot index_;
   std::atomic<int> lastWriteErrno_{0};  ///< errno of the last failed append
 };
 

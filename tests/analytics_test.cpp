@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -232,6 +233,115 @@ TEST_F(AnalyticsFixture, PollPicksUpRecordsALiveWriterAppends) {
   // A reader must never create a writer-side lock file.
   EXPECT_NE(::access(path_.c_str(), F_OK), -1);
   EXPECT_EQ(::access((path_ + ".lock").c_str(), F_OK), -1);
+}
+
+/// Every append a live fleet store sees, in fleet order — including the
+/// records whose precedence is not "first" or "largest": a completion stamp
+/// carrying an earlier deadline than its claim, a re-quarantine with a
+/// lower crash count, a resubmitted cell and a re-profiled workload.
+std::vector<std::function<bool(CampaignStore&)>> fleetAppends() {
+  CampaignStore::CellRecord cell;
+  cell.key = kKey;
+  cell.workload = "crc32";
+  cell.spec = "read/single";
+  cell.flipWidth = 32;
+  cell.experiments = kExperiments;
+  cell.seed = 0x5eedULL;
+  cell.shardSize = kShardSize;
+  CampaignStore::CellRecord resubmitted = cell;
+  resubmitted.dynInstrs = 777;
+  CampaignStore::WorkloadRecord profile{"crc32", "MiBench", "telecomm", 1};
+  CampaignStore::WorkloadRecord reprofiled = profile;
+  reprofiled.dynInstrs = 4321;
+  return {
+      [=](CampaignStore& s) { return s.appendCell(cell); },
+      [](CampaignStore& s) {
+        return s.appendLease(kKey, {0, kShardSize, "123:ab", 1, 90000});
+      },
+      [](CampaignStore& s) {
+        return s.appendLease(kKey, {0, kShardSize, "123:ab", 1, 95000});
+      },
+      [](CampaignStore& s) {
+        return s.appendShard(testMeta(), 0, 0, kShardSize, testShard(0));
+      },
+      // The completion stamp: deadline = now, below the claim's deadline.
+      [](CampaignStore& s) {
+        return s.appendLease(kKey,
+                             {0, kShardSize, "123:ab", 1, 60000, 1000});
+      },
+      [](CampaignStore& s) {
+        return s.appendQuarantine(kKey, {kShardSize, kShardSize, 3, "9:ff",
+                                         "worker died mid-lease"});
+      },
+      [](CampaignStore& s) {
+        return s.appendQuarantine(kKey, {kShardSize, kShardSize, 2, "9:ff",
+                                         "worker died mid-lease"});
+      },
+      [=](CampaignStore& s) { return s.appendCell(resubmitted); },
+      [=](CampaignStore& s) { return s.appendWorkload(profile); },
+      [=](CampaignStore& s) { return s.appendWorkload(reprofiled); },
+      [](CampaignStore& s) {
+        return s.appendShard(testMeta(), 1, kShardSize, kShardSize,
+                             testShard(1));
+      },
+  };
+}
+
+std::string workerLines(const Dataset& ds) {
+  std::string out;
+  for (const WorkerRow& w : workerRollup(ds, /*nowMs=*/70000)) {
+    out += w.worker + " shards=" + std::to_string(w.shards) +
+           " cost_ms=" + std::to_string(w.costMs) + "\n";
+  }
+  return out;
+}
+
+TEST_F(AnalyticsFixture, PollAfterEveryAppendEqualsAFreshLoad) {
+  CampaignStore writer(path_);
+  writer.load();
+  Dataset polled;
+  polled.addStore(path_);
+  for (const auto& append : fleetAppends()) {
+    ASSERT_TRUE(append(writer));
+    polled.poll();
+    Dataset fresh;
+    fresh.addStore(path_);
+    EXPECT_EQ(polled.campaigns(), fresh.campaigns());
+    EXPECT_EQ(polled.workloads(), fresh.workloads());
+    EXPECT_EQ(workerLines(polled), workerLines(fresh));
+  }
+  EXPECT_EQ(workerLines(polled), "123:ab shards=1 cost_ms=1000\n");
+  EXPECT_EQ(polled.campaigns().at(kKey).quarantines.begin()->second.crashes,
+            2u);
+}
+
+TEST_F(AnalyticsFixture, TwoStoresReadLikeTheirConcatenation) {
+  const std::string second = path_ + ".b";
+  const std::string joined = path_ + ".ab";
+  std::remove(second.c_str());
+  const auto appends = fleetAppends();
+  {
+    // Each half is written by its own store, so neither deduplicates
+    // against the other — as two fleet stores would be.
+    CampaignStore a(path_);
+    CampaignStore b(second);
+    for (std::size_t i = 0; i < appends.size(); ++i) {
+      ASSERT_TRUE(appends[i](i % 2 == 0 ? a : b));
+    }
+  }
+  {
+    std::ofstream out(joined, std::ios::trunc);
+    out << readFile(path_) << readFile(second);
+  }
+  Dataset merged;
+  merged.addStore(path_);
+  merged.addStore(second);
+  Dataset concatenated;
+  concatenated.addStore(joined);
+  EXPECT_EQ(merged.campaigns(), concatenated.campaigns());
+  EXPECT_EQ(merged.workloads(), concatenated.workloads());
+  std::remove(second.c_str());
+  std::remove(joined.c_str());
 }
 
 TEST_F(AnalyticsFixture, SnapshotMatchesVisitorWalk) {

@@ -451,10 +451,11 @@ TEST_F(CampaignStoreFixture, CompactLeavesCanonicalFilesUntouched) {
   EXPECT_EQ(before, after);  // byte-identical: no gratuitous rewrite
 }
 
-TEST_F(CampaignStoreFixture, CompactKeepsTheNewestRecordPerShard) {
+TEST_F(CampaignStoreFixture, CompactKeepsTheFirstRecordPerShard) {
   {
     // Two hand-written records for the SAME (key, shard range) with
-    // different (both integrity-valid) aggregates: the newest must win.
+    // different (both integrity-valid) aggregates: the first wins, as it
+    // does for load() and fsck().
     std::FILE* f = std::fopen(path_.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     std::fputs(
@@ -479,8 +480,152 @@ TEST_F(CampaignStoreFixture, CompactKeepsTheNewestRecordPerShard) {
   EXPECT_EQ(store.load().shardRecords, 1u);
   const CampaignStore::ShardAggregate* agg = store.findShard(0xab, 0, 4);
   ASSERT_NE(agg, nullptr);
-  EXPECT_EQ(agg->counts.count(stats::Outcome::Detected), 4u);
-  EXPECT_EQ(agg->counts.count(stats::Outcome::Benign), 0u);
+  EXPECT_EQ(agg->counts.count(stats::Outcome::Benign), 4u);
+  EXPECT_EQ(agg->counts.count(stats::Outcome::Detected), 0u);
+}
+
+/// A hand-written shard record of campaign `key` (12 experiments).
+std::string shardLine(const char* key, std::size_t first,
+                      const char* outcomes, const char* hist) {
+  return std::string("{\"v\":1,\"kind\":\"shard\",\"key\":\"") + key +
+         "\",\"spec\":\"read/single\",\"seed\":\"0x0000000000000001\","
+         "\"experiments\":12,\"candidates\":10,\"shard\":" +
+         std::to_string(first / 4) + ",\"first\":" + std::to_string(first) +
+         ",\"count\":4,\"outcomes\":" + outcomes + ",\"hist\":" + hist + "}";
+}
+
+std::string leaseLine(const char* key, std::size_t first, const char* worker,
+                      int epoch, long deadline, const char* extra = "") {
+  return std::string("{\"v\":1,\"kind\":\"lease\",\"key\":\"") + key +
+         "\",\"first\":" + std::to_string(first) + ",\"count\":4," +
+         "\"worker\":\"" + worker + "\",\"epoch\":" + std::to_string(epoch) +
+         ",\"deadline\":" + std::to_string(deadline) + extra + "}";
+}
+
+std::string quarantineLine(const char* key, std::size_t first, int crashes) {
+  return std::string("{\"v\":1,\"kind\":\"quarantine\",\"key\":\"") + key +
+         "\",\"first\":" + std::to_string(first) + ",\"count\":4," +
+         "\"crashes\":" + std::to_string(crashes) + ",\"worker\":\"3:cc\"}";
+}
+
+std::string cellLine(const char* key, int dynInstrs) {
+  return std::string("{\"v\":1,\"kind\":\"cell\",\"key\":\"") + key +
+         "\",\"workload\":\"w\",\"spec\":\"read/single\",\"flip_width\":32,"
+         "\"experiments\":12,\"seed\":\"0x0000000000000001\","
+         "\"shard_size\":4,\"hang_factor\":50,\"dyn_instrs\":" +
+         std::to_string(dynInstrs) + "}";
+}
+
+std::string workloadLine(const char* name, int dynInstrs) {
+  return std::string("{\"v\":1,\"kind\":\"workload\",\"name\":\"") + name +
+         "\",\"dyn_instrs\":" + std::to_string(dynInstrs) + "}";
+}
+
+std::string outcomeLine(int outcome) {
+  return "{\"v\":1,\"kind\":\"outcome\",\"key\":\"0x00000000000000cc\","
+         "\"boundary\":100,\"hash\":\"0x0000000000000001\",\"outcome\":" +
+         std::to_string(outcome) + ",\"trap\":0,\"instructions\":500}";
+}
+
+void writeLines(const std::string& path,
+                const std::vector<std::string>& lines) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  for (const std::string& l : lines) {
+    std::fwrite(l.data(), 1, l.size(), f);
+    std::fputc('\n', f);
+  }
+  std::fclose(f);
+}
+
+std::string readAll(const std::string& path) {
+  std::string bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
+  std::fclose(f);
+  return bytes;
+}
+
+TEST_F(CampaignStoreFixture, CompactNeverChangesWhatLoadIndexes) {
+  const char* const ab = "0x00000000000000ab";
+  const char* const de = "0x00000000000000de";
+  const std::string shardA = shardLine(ab, 0, "[4,0,0,0,0]", "[[0,0,4]]");
+  const std::string outcome = outcomeLine(0);
+  writeLines(path_, {
+      cellLine(ab, 100),
+      workloadLine("qsort", 1),
+      shardA,
+      leaseLine(ab, 4, "1:aa", 1, 5000),            // claim
+      shardA,                                       // byte-identical rerun
+      outcome,
+      leaseLine(ab, 4, "1:aa", 1, 9000),            // heartbeat
+      shardLine(ab, 0, "[0,4,0,0,0]", "[[1,0,4]]"),  // conflicting shard
+      outcomeLine(4),                               // conflicting outcome
+      outcome,                                      // byte-identical rerun
+      shardLine(ab, 4, "[3,1,0,0,0]", "[[0,0,3],[1,0,1]]"),
+      leaseLine(ab, 4, "1:aa", 1, 1500, ",\"cost_ms\":700"),  // completion
+      leaseLine(de, 0, "2:bb", 2, 99000),
+      leaseLine(de, 4, "2:bb", 1, 1000),            // expires at nowMs
+      quarantineLine(ab, 8, 3),
+      leaseLine(de, 0, "1:aa", 1, 99500),           // stale epoch, late
+      quarantineLine(ab, 8, 4),                     // re-quarantine
+      cellLine(ab, 100),                            // identical resubmission
+      cellLine(de, 200),
+      cellLine(ab, 150),                            // changed resubmission
+      workloadLine("qsort", 2),
+      workloadLine("crc32", 3),
+      shardLine(ab, 8, "[4,0,0,0,0]", "[[0,0,4]]"),  // supersedes quarantine
+  });
+  CampaignStore original(path_);
+  original.load();
+  CampaignStore::Snapshot expected = original.snapshot();
+  // What compact drops by design: the superseded (ab, 4) lease, the
+  // expired (de, 4) lease and the superseded (ab, 8) quarantine.
+  ASSERT_EQ(expected.campaigns.at(0xab).leases.erase({4, 4}), 1u);
+  ASSERT_EQ(expected.campaigns.at(0xde).leases.erase({4, 4}), 1u);
+  ASSERT_EQ(expected.campaigns.at(0xab).quarantines.erase({8, 4}), 1u);
+
+  const auto stats = CampaignStore::compact(path_, /*nowMs=*/2000);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_TRUE(stats->rewritten);
+  EXPECT_EQ(stats->shardRecords, 3u);
+  // Two shards, two outcomes, two cells and one workload.
+  EXPECT_EQ(stats->droppedDuplicates, 7u);
+  EXPECT_EQ(stats->droppedLeases, 5u);      // all but the (de, 0) epoch 2
+  EXPECT_EQ(stats->droppedQuarantines, 2u);
+  CampaignStore compacted(path_);
+  const CampaignStore::LoadStats loaded = compacted.load();
+  EXPECT_EQ(loaded.duplicates, 0u);
+  EXPECT_EQ(compacted.snapshot(), expected);
+  EXPECT_EQ(compacted.cells().front().key, 0xabu);  // submission order kept
+  const auto check = CampaignStore::fsck(path_, /*repair=*/false);
+  ASSERT_TRUE(check.has_value());
+  EXPECT_TRUE(check->clean());
+}
+
+TEST_F(CampaignStoreFixture, CompactKeepsUnknownKindsVerbatim) {
+  const std::string shard =
+      shardLine("0x00000000000000ab", 0, "[4,0,0,0,0]", "[[0,0,4]]");
+  const std::string laterVersion =
+      "{\"v\":2,\"kind\":\"shard\",\"key\":\"0x00000000000000ab\"}";
+  const std::string laterKind =
+      "{\"v\":1,\"kind\":\"event\",\"what\":\"restart\",\"pid\":  42}";
+  writeLines(path_, {shard, laterVersion, shard, laterKind});
+  const auto stats = CampaignStore::compact(path_);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_TRUE(stats->rewritten);  // the duplicate shard goes
+  EXPECT_EQ(stats->droppedDuplicates, 1u);
+  EXPECT_EQ(stats->droppedMalformed, 0u);
+  EXPECT_EQ(stats->unknownKinds, 2u);
+  EXPECT_EQ(readAll(path_), shard + "\n" + laterVersion + "\n" + laterKind +
+                                "\n");
+  const auto check = CampaignStore::fsck(path_, /*repair=*/false);
+  ASSERT_TRUE(check.has_value());
+  EXPECT_TRUE(check->clean());
+  EXPECT_EQ(check->unknownKinds, 2u);
 }
 
 TEST_F(CampaignStoreFixture, CompactIgnoresAStaleTempFromAKilledRun) {
