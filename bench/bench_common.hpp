@@ -23,16 +23,12 @@
 //                       snapshot captures; 0 = disable the snapshot cache
 //                       (every experiment interprets from scratch),
 //                       unset/negative = auto
-//   ONEBIT_SNAPSHOT_BUDGET    per-workload byte budget for kept snapshots
-//                       (default 16 MiB); 0 = disable the cache
 //
 // Outcome-equivalence pruning knobs (see docs/ARCHITECTURE.md):
 //   ONEBIT_PRUNE        1 = short-circuit experiments whose post-injection
 //                       state hash matches the golden run or an earlier
 //                       experiment (default 0). Pure speedup: all outputs
 //                       are bit-identical with it on or off.
-//   ONEBIT_PRUNE_GRID   state-hash boundary spacing in dynamic instructions
-//                       (unset/0 = auto, ~128 boundaries per golden run)
 //
 // Dispatch-backend knob (see docs/ARCHITECTURE.md):
 //   ONEBIT_DISPATCH     "threaded" (default) runs hook-free segments on the
@@ -67,8 +63,9 @@
 //                       store is created and removed. ONEBIT_MAX_SHARDS
 //                       also caps each worker incarnation, which is then
 //                       respawned.
-//   ONEBIT_FLEET_LEASE_MS     shard lease duration (default 30000)
-//   ONEBIT_FLEET_HEARTBEAT_MS lease heartbeat period (default lease/3)
+//   ONEBIT_FLEET_LEASE_MS     base shard lease duration (default 30000;
+//                       heartbeats every lease/3, deadlines adapt to the
+//                       0.9 quantile of observed shard cost)
 //   ONEBIT_FLEET_KILL_AFTER   crash injection: the first worker's first
 //                       incarnation SIGKILLs itself right after its Nth
 //                       lease claim; it is respawned once and its shards
@@ -76,13 +73,11 @@
 //                       changing any output; 0/unset = off)
 //   ONEBIT_POISON_RETRIES     mid-lease worker deaths on one shard range
 //                       before the supervisor quarantines it (default 3)
-//   ONEBIT_LEASE_QUANTILE     adaptive lease deadlines: quantile of
-//                       observed per-shard cost the deadline tracks
-//                       (default 0.9; 0 = fixed deadlines)
 //   ONEBIT_FLEET_POISON       test hook "NAME[:SHARD]": a worker SIGKILLs
 //                       itself right after claiming that shard (any shard
 //                       of NAME when :SHARD is omitted) — the fleet
-//                       quarantines it and still converges
+//                       quarantines it and still converges; an invalid
+//                       value warns once and leaves the hook off
 //   ONEBIT_FLEET_CHAOS_KILL_MS  chaos hook: the supervisor SIGKILLs one
 //                       random live worker roughly this often (never
 //                       counted toward poison detection; 0/unset = off)
@@ -135,22 +130,18 @@ using analytics::specSelected;
 /// The golden-prefix snapshot policy selected by the environment knobs.
 /// ONEBIT_SNAPSHOT_INTERVAL: 0 disables the cache, a positive value pins the
 /// capture spacing, unset/negative picks the auto spacing.
-/// ONEBIT_SNAPSHOT_BUDGET: per-workload byte budget (0 disables).
 inline fi::SnapshotPolicy snapshotPolicyFromEnv() {
   fi::SnapshotPolicy policy;
   const std::int64_t interval = util::envInt("ONEBIT_SNAPSHOT_INTERVAL", -1);
   if (interval >= 0) policy.interval = static_cast<std::uint64_t>(interval);
-  policy.budgetBytes = util::envSize("ONEBIT_SNAPSHOT_BUDGET",
-                                     policy.budgetBytes);
   return policy;
 }
 
-/// The outcome-equivalence pruning policy selected by ONEBIT_PRUNE /
-/// ONEBIT_PRUNE_GRID (default off).
+/// The outcome-equivalence pruning policy selected by ONEBIT_PRUNE (default
+/// off; the hash grid derives from the golden length).
 inline fi::PrunePolicy prunePolicyFromEnv() {
   fi::PrunePolicy policy;
   policy.enabled = util::envInt("ONEBIT_PRUNE", 0) != 0;
-  policy.grid = util::envSize("ONEBIT_PRUNE_GRID");
   return policy;
 }
 
@@ -233,40 +224,22 @@ inline std::size_t fleetWorkers() {
   return util::envSize("ONEBIT_FLEET_WORKERS");
 }
 
-/// Shared FleetConfig resolution for both fleet paths: lease, heartbeat,
-/// adaptive-deadline quantile (ONEBIT_LEASE_QUANTILE; 0 disables
-/// adaptation), and the ONEBIT_FLEET_POISON "NAME[:SHARD]" test hook.
+/// Shared FleetConfig resolution for both fleet paths: the lease duration
+/// and the ONEBIT_FLEET_POISON "NAME[:SHARD]" test hook (fi::parsePoisonHook;
+/// an invalid value warns once and leaves the hook off).
 inline void applyFleetEnv(fi::FleetConfig& config) {
   config.leaseMs = static_cast<std::uint64_t>(
       util::envSize("ONEBIT_FLEET_LEASE_MS", config.leaseMs));
-  config.heartbeatMs = static_cast<std::uint64_t>(
-      util::envSize("ONEBIT_FLEET_HEARTBEAT_MS", config.heartbeatMs));
-  const std::string quantile = util::envStr("ONEBIT_LEASE_QUANTILE", "");
-  if (!quantile.empty()) {
-    char* end = nullptr;
-    const double q = std::strtod(quantile.c_str(), &end);
-    if (end != quantile.c_str() && *end == '\0') {
-      if (q > 0.0 && q <= 1.0) {
-        config.leaseQuantile = q;
-      } else {
-        config.adaptiveLease = false;
-      }
-    }
-  }
   const std::string poison = util::envStr("ONEBIT_FLEET_POISON", "");
-  if (!poison.empty()) {
-    const std::size_t colon = poison.rfind(':');
-    config.poisonWorkload = poison;
-    if (colon != std::string::npos && colon != 0 &&
-        colon + 1 < poison.size()) {
-      char* end = nullptr;
-      const unsigned long long s =
-          std::strtoull(poison.c_str() + colon + 1, &end, 10);
-      if (*end == '\0') {
-        config.poisonWorkload = poison.substr(0, colon);
-        config.poisonShard = static_cast<std::size_t>(s);
-      }
-    }
+  if (!poison.empty() && !fi::parsePoisonHook(poison, config)) {
+    static const bool warned = [&poison] {
+      std::fprintf(stderr,
+                   "warning: ignoring ONEBIT_FLEET_POISON=%s (want "
+                   "NAME[:SHARD]); the poison hook is off\n",
+                   poison.c_str());
+      return true;
+    }();
+    (void)warned;
   }
 }
 

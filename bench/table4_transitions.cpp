@@ -5,7 +5,6 @@
 // The paper uses each program's Table III best pair; re-deriving that grid
 // here would dominate runtime, so by default we use the paper's aggregate
 // finding (read: 2 flips at a large window; write: 3 flips at window 1).
-// Override with ONEBIT_T4_MBF_READ / ONEBIT_T4_WIN_READ / ..._WRITE.
 #include "bench_common.hpp"
 #include "pruning/transition_study.hpp"
 #include "util/table.hpp"
@@ -16,15 +15,9 @@ int main() {
   bench::printHeaderNote("Table IV: Transition I / II likelihoods", n);
 
   fi::FaultModel readSpec = fi::FaultModel::multiBitTemporal(
-      fi::FaultDomain::RegisterRead,
-      static_cast<unsigned>(util::envInt("ONEBIT_T4_MBF_READ", 2)),
-      fi::WinSize::fixed(
-          static_cast<std::uint64_t>(util::envInt("ONEBIT_T4_WIN_READ", 100))));
+      fi::FaultDomain::RegisterRead, 2, fi::WinSize::fixed(100));
   fi::FaultModel writeSpec = fi::FaultModel::multiBitTemporal(
-      fi::FaultDomain::RegisterWrite,
-      static_cast<unsigned>(util::envInt("ONEBIT_T4_MBF_WRITE", 3)),
-      fi::WinSize::fixed(
-          static_cast<std::uint64_t>(util::envInt("ONEBIT_T4_WIN_WRITE", 1))));
+      fi::FaultDomain::RegisterWrite, 3, fi::WinSize::fixed(1));
 
   readSpec.flipWidth = bench::flipWidth();
   writeSpec.flipWidth = bench::flipWidth();

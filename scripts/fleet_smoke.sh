@@ -20,18 +20,25 @@
 #   5. compaction drops every (superseded) lease, and the compacted store
 #      still resumes to the same CSV,
 #   6. `fleet_broker --submit` refuses a negative experiment count with
-#      exit 2 and leaves the store byte-unchanged.
+#      exit 2 and leaves the store byte-unchanged,
+#   7. the standalone CLI fleet reproduces one solo cell: qsort's
+#      read/single cell, submitted with `fleet_broker --submit` under the
+#      solo run's seed and shard size, run by two `fleet_worker` processes
+#      (the first SIGKILLs itself right after its first claim, via the
+#      `--poison` hook), finishes under `fleet_broker --wait`, leaves a
+#      store that `store fsck` calls clean, and carries the solo store's
+#      shard records for that cell, byte for byte.
 #
 #   scripts/fleet_smoke.sh [BUILD_DIR]
 #
 # BUILD_DIR defaults to ./build; it must contain bench_fig1_single_bit,
-# report, store, and fleet_broker (built by the default CMake
+# report, store, fleet_broker and fleet_worker (built by the default CMake
 # configuration).
 set -eu
 
 build=${1:-build}
 
-for tool in bench_fig1_single_bit report store fleet_broker; do
+for tool in bench_fig1_single_bit report store fleet_broker fleet_worker; do
   if [ ! -x "$build/$tool" ]; then
     echo "error: $build/$tool not found or not executable; build first" >&2
     echo "  cmake -B $build -S . && cmake --build $build -j" >&2
@@ -122,5 +129,36 @@ if [ "$rc" != 2 ]; then
   exit 1
 fi
 cmp "$tmp/before.jsonl" "$tmp/fleet.jsonl"
+
+echo "== CLI fleet: fleet_broker --submit, two fleet_worker processes, the"
+echo "   first SIGKILLed after its first claim"
+cell_shards() {  # the sorted shard records of qsort's read/single cell
+  grep '"kind":"shard"' "$1" | grep '"workload":"qsort"' |
+    grep '"spec":"read/single"' | sort -u
+}
+cell_shards "$tmp/solo.jsonl" > "$tmp/cli_solo.jsonl"
+first=$(head -n 1 "$tmp/cli_solo.jsonl")
+seed=$(printf '%s\n' "$first" | sed 's/.*"seed":"\(0x[0-9a-f]*\)".*/\1/')
+experiments=$(printf '%s\n' "$first" |
+  sed 's/.*"experiments":\([0-9]*\).*/\1/')
+shard_size=$(grep '"first":0,' "$tmp/cli_solo.jsonl" |
+  sed 's/.*"count":\([0-9]*\).*/\1/')
+cli="$tmp/cli.jsonl"
+"$build/fleet_broker" "$cli" --submit qsort read/single "$experiments" \
+  --seed "$seed" --flip-width 32 --shard-size "$shard_size"
+rc=0
+"$build/fleet_worker" "$cli" --poison qsort 2> "$tmp/cli_killed.log" || rc=$?
+if [ "$rc" != 137 ]; then
+  cat "$tmp/cli_killed.log" >&2
+  echo "error: the poisoned fleet_worker exited $rc, want 137 (SIGKILL)" >&2
+  exit 1
+fi
+"$build/fleet_worker" "$cli" --poll-ms 10 2> "$tmp/cli_worker.log" &
+worker=$!
+"$build/fleet_broker" "$cli" --wait --poll-ms 20
+wait "$worker"
+"$build/store" fsck "$cli"
+cell_shards "$cli" > "$tmp/cli_fleet.jsonl"
+diff "$tmp/cli_solo.jsonl" "$tmp/cli_fleet.jsonl"
 
 echo "fleet smoke: OK"

@@ -44,6 +44,29 @@ std::size_t resolveThreads(std::size_t requested) noexcept;
 std::size_t resolveShardSize(std::size_t experiments,
                              std::size_t requested) noexcept;
 
+/// A campaign's shards: `experiments` split into consecutive ranges of
+/// `shardSize` (resolved), the last one possibly short. Store records match
+/// a shard by its exact (first, count) range, so every writer and reader of
+/// shard ranges — suite, fleet worker, broker, supervisor — uses this one
+/// definition.
+struct ShardGeometry {
+  std::size_t experiments = 0;
+  std::size_t shardSize = 0;
+
+  [[nodiscard]] std::size_t shards() const noexcept {
+    return shardSize == 0 ? 0 : (experiments + shardSize - 1) / shardSize;
+  }
+  [[nodiscard]] std::size_t first(std::size_t shard) const noexcept {
+    return shard * shardSize;
+  }
+  /// Experiments in `shard` (0 past the last shard).
+  [[nodiscard]] std::size_t count(std::size_t shard) const noexcept {
+    const std::size_t f = first(shard);
+    if (f >= experiments) return 0;
+    return experiments - f < shardSize ? experiments - f : shardSize;
+  }
+};
+
 /// Histogram of activation counts by outcome (rows: outcome, cols: number of
 /// activated errors, saturating at kMaxActivationBucket).
 inline constexpr unsigned kMaxActivationBucket = 31;

@@ -7,6 +7,8 @@
 #include <tuple>
 #include <variant>
 
+#include <sys/stat.h>
+
 #include "stats/serialize.hpp"
 #include "util/rng.hpp"
 
@@ -96,16 +98,16 @@ struct OptionalLockGuard {
   OptionalLockGuard& operator=(const OptionalLockGuard&) = delete;
 };
 
-std::uint64_t fileSizeOf(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return 0;
-  std::uint64_t size = 0;
-  if (std::fseek(f, 0, SEEK_END) == 0) {
-    const long n = std::ftell(f);
-    if (n > 0) size = static_cast<std::uint64_t>(n);
-  }
-  std::fclose(f);
-  return size;
+/// A file's identity: (st_dev, st_ino).
+using FileId = std::pair<std::uint64_t, std::uint64_t>;
+
+/// The identity and size of the file at `path`; zeros when it is missing.
+std::pair<FileId, std::uint64_t> fileStateOf(const std::string& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) return {};
+  return {{static_cast<std::uint64_t>(st.st_dev),
+           static_cast<std::uint64_t>(st.st_ino)},
+          static_cast<std::uint64_t>(st.st_size)};
 }
 
 }  // namespace
@@ -536,16 +538,21 @@ CampaignStore::LoadStats CampaignStore::load() {
   OptionalLockGuard fileGuard(fileLock_.get());
   std::lock_guard lock(mutex_);
   clearIndex();
+  readFile_ = fileStateOf(path_).first;
   return readInto(0, /*consumeTail=*/true);
 }
 
 CampaignStore::LoadStats CampaignStore::refresh() {
   OptionalLockGuard fileGuard(fileLock_.get());
   std::lock_guard lock(mutex_);
-  // A file smaller than the resume point was rewritten underneath us
-  // (compacted): the offset is meaningless, so re-read from scratch.
-  if (fileSizeOf(path_) < readOffset_) {
+  // Another file under our path (compaction renames its rewrite into
+  // place), or one smaller than the resume point: the offset is
+  // meaningless, so re-read from scratch. The identity is taken before the
+  // read, so a swap racing the read is caught by the next refresh.
+  const auto [file, size] = fileStateOf(path_);
+  if (file != readFile_ || size < readOffset_) {
     clearIndex();
+    readFile_ = file;
     return readInto(0, /*consumeTail=*/false);
   }
   return readInto(readOffset_, /*consumeTail=*/false);

@@ -212,19 +212,8 @@ class CampaignStore {
 
     bool operator==(const CellRecord&) const = default;
 
-    [[nodiscard]] std::size_t shardCount() const noexcept {
-      return shardSize == 0 ? 0 : (experiments + shardSize - 1) / shardSize;
-    }
-    [[nodiscard]] std::size_t shardFirst(std::size_t shard) const noexcept {
-      return shard * shardSize;
-    }
-    [[nodiscard]] std::size_t shardExperiments(
-        std::size_t shard) const noexcept {
-      const std::size_t first = shardFirst(shard);
-      return first >= experiments
-                 ? 0
-                 : (experiments - first < shardSize ? experiments - first
-                                                    : shardSize);
+    [[nodiscard]] ShardGeometry geometry() const noexcept {
+      return {experiments, shardSize};
     }
   };
 
@@ -399,10 +388,11 @@ class CampaignStore {
   /// large fleet store costs only the new bytes. An unterminated final line
   /// (a record mid-append, or a crashed writer's residue) is left for the
   /// next refresh rather than counted malformed. Falls back to a full
-  /// re-read when the file shrank (someone compacted it) — safe because
-  /// indexing is idempotent and first-wins. In Atomic mode the file lock is
-  /// held for the read, so a refresh under fileLock() observes every record
-  /// of every completed claim sequence.
+  /// re-read when the path names another file than the last read did (a
+  /// compaction renamed its rewrite into place) or the file shrank — safe
+  /// because indexing is idempotent and first-wins. In Atomic mode the file
+  /// lock is held for the read, so a refresh under fileLock() observes every
+  /// record of every completed claim sequence.
   LoadStats refresh();
 
   /// Rewrite the JSONL store at `path` in place, keeping, at each record
@@ -465,7 +455,7 @@ class CampaignStore {
 
   /// Look up a recorded shard by campaign key and exact experiment range.
   /// Returns nullptr when absent. Pointers stay valid until the next
-  /// load() or shrink-triggered refresh() (the only operations that evict).
+  /// load() or re-reading refresh() (the only operations that evict).
   [[nodiscard]] const ShardAggregate* findShard(
       std::uint64_t key, std::size_t firstExperiment,
       std::size_t experimentCount) const;
@@ -630,6 +620,8 @@ class CampaignStore {
   std::unique_ptr<util::FileLock> fileLock_;   ///< Atomic mode only
   std::unique_ptr<util::AtomicAppend> appender_;  ///< opened on first append
   std::uint64_t readOffset_ = 0;  ///< resume point for refresh()
+  /// (st_dev, st_ino) of the file load()/refresh() last read from.
+  std::pair<std::uint64_t, std::uint64_t> readFile_{};
   Snapshot index_;
   std::atomic<int> lastWriteErrno_{0};  ///< errno of the last failed append
 };

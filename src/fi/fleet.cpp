@@ -9,29 +9,15 @@
 #include <thread>
 #include <utility>
 
-#include "fi/fault_plan.hpp"
-#include "fi/outcome_cache.hpp"
+#include "fi/shard_executor.hpp"
 #include "progs/registry.hpp"
+#include "util/env.hpp"
 #include "util/file_lock.hpp"
 #include "util/rng.hpp"
 
 namespace onebit::fi {
 
 namespace {
-
-/// Shard-local tally — the same accumulation CampaignSuite's ShardAccumulator
-/// performs, so fleet shard records are field-for-field what a solo run
-/// writes (prune counters stay local; they never reach the record).
-struct ShardTally {
-  stats::OutcomeCounts counts;
-  ActivationHistogram hist{};
-
-  void add(const ExperimentResult& r) noexcept {
-    counts.add(r.outcome);
-    const unsigned bucket = std::min(r.activations, kMaxActivationBucket);
-    ++hist[static_cast<std::size_t>(r.outcome)][bucket];
-  }
-};
 
 /// Is this lease still holding its shard? Expired leases are dead; on a
 /// single host, so are leases whose recorded pid no longer exists (an early
@@ -46,6 +32,10 @@ bool leaseAlive(const CampaignStore::LeaseRecord& lease, std::uint64_t nowMs,
   }
   return true;
 }
+
+/// The cost quantile adaptive lease deadlines budget for: tolerates the
+/// occasional slow shard without letting one outlier set every deadline.
+constexpr double kLeaseQuantile = 0.9;
 
 std::uint64_t clockOf(const FleetConfig& config) {
   return config.clock ? config.clock() : util::wallClockMs();
@@ -78,6 +68,24 @@ WorkloadResolver registryResolver() {
 }
 
 }  // namespace
+
+bool parsePoisonHook(std::string_view spec, FleetConfig& config) {
+  const std::size_t colon = spec.rfind(':');
+  const std::string_view name = spec.substr(0, colon);
+  std::uint64_t shard = static_cast<std::uint64_t>(-1);
+  if (name.empty()) return false;
+  if (colon != std::string_view::npos) {
+    // npos itself would read as "any shard", so it is refused as a SHARD.
+    if (!util::parseCount(std::string(spec.substr(colon + 1)).c_str(),
+                          shard) ||
+        shard == static_cast<std::uint64_t>(-1)) {
+      return false;
+    }
+  }
+  config.poisonWorkload = name;
+  config.poisonShard = static_cast<std::size_t>(shard);
+  return true;
+}
 
 std::optional<std::uint64_t> workerPid(const std::string& workerId) {
   std::uint64_t pid = 0;
@@ -173,13 +181,13 @@ std::vector<FleetBroker::CellStatus> FleetBroker::status() {
   for (const CampaignStore::CellRecord& cell : store_.cells()) {
     CellStatus st;
     st.cell = cell;
-    for (std::size_t s = 0; s < cell.shardCount(); ++s) {
-      if (store_.findShard(cell.key, cell.shardFirst(s),
-                           cell.shardExperiments(s)) != nullptr) {
+    const ShardGeometry geo = cell.geometry();
+    for (std::size_t s = 0; s < geo.shards(); ++s) {
+      if (store_.findShard(cell.key, geo.first(s), geo.count(s)) != nullptr) {
         ++st.recordedShards;
-        st.recordedExperiments += cell.shardExperiments(s);
-      } else if (store_.findQuarantine(cell.key, cell.shardFirst(s),
-                                       cell.shardExperiments(s))) {
+        st.recordedExperiments += geo.count(s);
+      } else if (store_.findQuarantine(cell.key, geo.first(s),
+                                       geo.count(s))) {
         ++st.quarantinedShards;
       }
     }
@@ -205,44 +213,14 @@ bool FleetBroker::complete() {
                      [](const CellStatus& c) { return c.complete(); });
 }
 
-std::optional<CampaignResult> FleetBroker::result(
-    const CampaignStore::CellRecord& cell) {
-  if (!loaded_) {
-    store_.load();
-    loaded_ = true;
-  } else {
-    store_.refresh();
-  }
-  CampaignResult result;
-  if (std::optional<FaultModel> model = FaultModel::parse(cell.spec)) {
-    model->flipWidth = cell.flipWidth;
-    result.config.model = *model;
-  }
-  result.config.experiments = cell.experiments;
-  result.config.seed = cell.seed;
-  // Merge in shard order, exactly like the suite's per-cell merge.
-  for (std::size_t s = 0; s < cell.shardCount(); ++s) {
-    const CampaignStore::ShardAggregate* agg = store_.findShard(
-        cell.key, cell.shardFirst(s), cell.shardExperiments(s));
-    if (agg == nullptr) return std::nullopt;
-    result.completedExperiments += cell.shardExperiments(s);
-    result.counts.merge(agg->counts);
-    mergeHistogram(result.activationHist, agg->hist);
-  }
-  result.resumedExperiments = result.completedExperiments;
-  return result;
-}
-
 // ---------------------------------------------------------------- FleetWorker
 
-/// A cell this worker has resolved and key-validated: its workload,
-/// the re-parsed model, and the store metadata every shard record stamps.
-struct FleetWorker::CellExec {
+/// A cell this worker has resolved and key-validated: the workload it runs
+/// on (kept alive here) and the cell's shard executor over the worker's
+/// store, which is both its resume and its record store.
+struct FleetWorker::ResolvedCell {
   std::shared_ptr<const Workload> workload;
-  FaultModel model;
-  std::uint64_t candidates = 0;
-  CampaignStore::CampaignMeta meta;
-  std::unique_ptr<OutcomeCache> cache;
+  ShardExecutor exec;
 };
 
 FleetWorker::FleetWorker(const std::string& storePath, std::string workerId,
@@ -280,11 +258,11 @@ bool FleetWorker::leaseActive(const CampaignStore::LeaseRecord& lease,
   return leaseAlive(lease, nowMs, config_.sameHostLiveness);
 }
 
-FleetWorker::CellExec* FleetWorker::resolve(
+FleetWorker::ResolvedCell* FleetWorker::resolve(
     const CampaignStore::CellRecord& cell) {
-  const auto it = execs_.find(cell.key);
-  if (it != execs_.end()) return it->second.get();
-  auto fail = [&](const char* why) -> CellExec* {
+  const auto it = resolved_.find(cell.key);
+  if (it != resolved_.end()) return it->second.get();
+  auto fail = [&](const char* why) -> ResolvedCell* {
     std::fprintf(stderr,
                  "fleet worker %s: cell '%s' (%s) is unrunnable here: %s\n",
                  id_.c_str(), cell.workload.c_str(), cell.spec.c_str(), why);
@@ -294,45 +272,31 @@ FleetWorker::CellExec* FleetWorker::resolve(
   std::optional<FaultModel> model = FaultModel::parse(cell.spec);
   if (!model) return fail("unparseable fault spec");
   model->flipWidth = cell.flipWidth;
-  const std::shared_ptr<const Workload> workload =
-      config_.workloadResolver(cell);
+  std::shared_ptr<const Workload> workload = config_.workloadResolver(cell);
   if (workload == nullptr) return fail("workload did not resolve");
+  auto resolved = std::make_unique<ResolvedCell>(ResolvedCell{
+      workload,
+      ShardExecutor(SuiteCell{cell.spec, workload.get(), *model,
+                              cell.experiments, cell.seed, cell.workload},
+                    cell.shardSize, &store_, &store_)});
   // The submitting broker's campaign key must be reproduced bit for bit —
   // a mismatch means the resolved workload behaves differently (source
   // drift, wrong hang factor, version skew) and any shard we ran would be
   // recorded under a key it does not belong to.
-  const std::uint64_t key = CampaignStore::campaignKey(
-      *model, cell.experiments, cell.seed, workload->fingerprintFor(*model));
-  if (key != cell.key) return fail("campaign key mismatch (version skew?)");
-  auto exec = std::make_unique<CellExec>();
-  exec->workload = workload;
-  exec->model = *model;
-  exec->candidates = workload->candidates(model->domain);
-  exec->meta.key = cell.key;
-  exec->meta.workload = cell.workload;
-  exec->meta.specLabel = cell.spec;
-  exec->meta.seed = cell.seed;
-  exec->meta.experiments = cell.experiments;
-  exec->meta.candidates = exec->candidates;
-  if (workload->pruningEnabled()) {
-    exec->cache = std::make_unique<OutcomeCache>();
-    const std::uint64_t cacheKey = CampaignStore::outcomeCacheKey(cell.key);
-    exec->cache->warmFrom(store_, cacheKey);
-    exec->cache->bindStore(&store_, cacheKey);
+  if (resolved->exec.meta().key != cell.key) {
+    return fail("campaign key mismatch (version skew?)");
   }
-  return execs_.emplace(cell.key, std::move(exec)).first->second.get();
+  return resolved_.emplace(cell.key, std::move(resolved)).first->second.get();
 }
 
 std::uint64_t FleetWorker::leaseDurationFor(std::uint64_t cellKey) {
-  if (!config_.adaptiveLease) return config_.leaseMs;
   // Completion leases carry the observed wall-clock of their shard; the
   // deadline becomes a quantile of those costs (see adaptiveLeaseMs).
   std::vector<std::uint64_t> costs;
   for (const CampaignStore::LeaseRecord& l : store_.leases(cellKey)) {
     if (l.costMs != 0) costs.push_back(l.costMs);
   }
-  return adaptiveLeaseMs(std::move(costs), config_.leaseQuantile,
-                         config_.leaseMs);
+  return adaptiveLeaseMs(std::move(costs), kLeaseQuantile, config_.leaseMs);
 }
 
 FleetWorker::Step FleetWorker::step() {
@@ -361,39 +325,33 @@ FleetWorker::Step FleetWorker::step() {
     }
     const std::uint64_t nowMs = now();
 
-    // Cost-ordered scan: cells by descending estimated remaining work
-    // (golden instructions × pending experiments — the suite's LPT
-    // heuristic), shards ascending within a cell. Ties keep submission
-    // order. Claim order never affects results, only makespan. Fully
-    // recorded cells never claim, so they stay out of the sort.
-    std::vector<std::size_t> pendingExperiments(cells_.size(), 0);
-    std::vector<std::size_t> order;
+    // Cost-ordered scan: cells in the executor's LPT order, shards ascending
+    // within a cell. Claim order never affects results, only makespan.
+    // Fully recorded cells never claim, so they stay out of the order.
+    std::vector<PendingWork> work(cells_.size());
     for (std::size_t c = 0; c < cells_.size(); ++c) {
       if (recorded_[c]) continue;
-      for (std::size_t s = 0; s < cells_[c].shardCount(); ++s) {
-        if (store_.findShard(cells_[c].key, cells_[c].shardFirst(s),
-                             cells_[c].shardExperiments(s)) == nullptr) {
-          pendingExperiments[c] += cells_[c].shardExperiments(s);
+      const ShardGeometry geo = cells_[c].geometry();
+      for (std::size_t s = 0; s < geo.shards(); ++s) {
+        if (store_.findShard(cells_[c].key, geo.first(s), geo.count(s)) ==
+            nullptr) {
+          work[c].experiments += geo.count(s);
         }
       }
-      if (pendingExperiments[c] == 0) {
+      work[c].goldenInstrs = cells_[c].dynInstrs;
+      if (work[c].experiments == 0) {
         recorded_[c] = true;
       } else {
-        order.push_back(c);
         allRecorded = false;
       }
     }
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return cells_[a].dynInstrs * pendingExperiments[a] >
-                              cells_[b].dynInstrs * pendingExperiments[b];
-                     });
-    for (const std::size_t c : order) {
+    for (const std::size_t c : lptOrder(work)) {
       if (claim) break;
       const CampaignStore::CellRecord& cell = cells_[c];
-      for (std::size_t s = 0; s < cell.shardCount(); ++s) {
-        const std::size_t first = cell.shardFirst(s);
-        const std::size_t count = cell.shardExperiments(s);
+      const ShardGeometry geo = cell.geometry();
+      for (std::size_t s = 0; s < geo.shards(); ++s) {
+        const std::size_t first = geo.first(s);
+        const std::size_t count = geo.count(s);
         if (store_.findShard(cell.key, first, count) != nullptr) continue;
         if (!config_.ignoreQuarantine &&
             store_.findQuarantine(cell.key, first, count)) {
@@ -441,55 +399,51 @@ FleetWorker::Step FleetWorker::step() {
   }
 #endif
 
-  CellExec* exec = resolve(claim->cell);
-  if (exec == nullptr) {
+  ResolvedCell* resolved = resolve(claim->cell);
+  if (resolved == nullptr) {
     // The claim is burned; our own lease never blocks us and lapses for
     // everyone else. The next step() skips this cell via unrunnable_.
     return Step::Idle;
   }
 
+  const ShardExecutor& exec = resolved->exec;
   const CampaignStore::CellRecord& cell = claim->cell;
-  const std::size_t first = cell.shardFirst(claim->shard);
-  const std::size_t count = cell.shardExperiments(claim->shard);
-  ShardTally acc;
+  const std::size_t first = exec.geometry().first(claim->shard);
+  const std::size_t count = exec.geometry().count(claim->shard);
+  const std::uint64_t heartbeatMs = config_.leaseMs / 3;
   const std::uint64_t startedMs = now();
   std::uint64_t lastBeat = startedMs;
-  for (std::size_t i = first; i < first + count; ++i) {
-    const FaultPlan fp = FaultPlan::forExperiment(exec->model,
-                                                  exec->candidates,
-                                                  cell.seed, i);
-    acc.add(runExperiment(*exec->workload, fp, exec->cache.get()));
+  const ShardTally tally = exec.run(claim->shard, [&] {
     const std::uint64_t t = now();
-    if (t - lastBeat >= config_.resolvedHeartbeatMs()) {
+    if (t - lastBeat >= heartbeatMs) {
       // Renew within our epoch: same claim, pushed-out deadline.
       store_.appendLease(cell.key, {first, count, id_, claim->epoch,
                                     t + claim->leaseMs});
       lastBeat = t;
     }
-  }
-  bool recorded = store_.appendShard(exec->meta, claim->shard, first, count,
-                                     {acc.counts, acc.hist});
+  });
+  bool recorded = exec.record(store_, claim->shard, tally);
   if (!recorded && store_.lastWriteOutOfSpace()) {
     // Out of space is a pause-and-retry state, not a verdict: the computed
     // shard is too expensive to throw away while the disk may drain (log
     // rotation, a compaction elsewhere). Park on our heartbeat — keep the
     // lease warm so nobody re-runs the shard under us — and keep retrying
     // until the park budget runs out.
-    const std::uint64_t parkDeadline = now() + config_.resolvedParkMs();
+    const std::uint64_t parkMs = 2 * config_.leaseMs;
+    const std::uint64_t parkDeadline = now() + parkMs;
     std::fprintf(stderr,
                  "fleet worker %s: store '%s' is out of space; parking "
                  "shard %zu of '%s' for up to %llu ms\n",
                  id_.c_str(), store_.path().c_str(), claim->shard,
                  cell.workload.c_str(),
-                 static_cast<unsigned long long>(config_.resolvedParkMs()));
+                 static_cast<unsigned long long>(parkMs));
     while (now() < parkDeadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(std::min<
-          std::uint64_t>(config_.resolvedHeartbeatMs(), 1000)));
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          std::min<std::uint64_t>(heartbeatMs, 1000)));
       const std::uint64_t t = now();
       store_.appendLease(cell.key, {first, count, id_, claim->epoch,
                                     t + claim->leaseMs});  // best-effort
-      recorded = store_.appendShard(exec->meta, claim->shard, first, count,
-                                    {acc.counts, acc.hist});
+      recorded = exec.record(store_, claim->shard, tally);
       if (recorded || !store_.lastWriteOutOfSpace()) break;
     }
   }

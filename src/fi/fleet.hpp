@@ -11,9 +11,9 @@
 //             cell is fully recorded.
 //   worker  — FleetWorker::run(): repeatedly claims the cheapest-available
 //             shard by appending a "lease" record under the store's file
-//             lock, executes its experiments through the exact per-shard
-//             loop CampaignSuite uses, appends the "shard" record, and
-//             heartbeats the lease while it computes.
+//             lock, runs it through the shard executor CampaignSuite
+//             runs its shards through (fi/shard_executor.hpp), appends the
+//             "shard" record, and heartbeats the lease while it computes.
 //
 // Fault tolerance is lease-expiry based. A worker that dies (SIGKILL, OOM,
 // host loss) simply stops renewing its lease; once the heartbeat deadline
@@ -40,6 +40,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -56,35 +57,23 @@ using WorkloadResolver = std::function<std::shared_ptr<const Workload>(
 
 /// Knobs shared by brokers and workers of one fleet.
 struct FleetConfig {
-  /// Lease duration: a claim or heartbeat extends the lease this far into
-  /// the future. A shard whose experiments outlast it is fine as long as
-  /// heartbeats keep landing.
+  /// Base lease duration: a claim or heartbeat extends the lease this far
+  /// into the future. A shard whose experiments outlast it is fine as long
+  /// as heartbeats keep landing, every leaseMs / 3 (three missed beats lose
+  /// the lease). Once completion leases with cost_ms exist for a cell, a
+  /// new claim's duration adapts to them: adaptiveLeaseMs(costs, 0.9,
+  /// leaseMs) — slow cells stop being falsely stolen, fast cells recover
+  /// quickly. Out of space (ENOSPC/EDQUOT), a worker keeps its lease warm
+  /// and retries recording a computed shard for 2 × leaseMs before giving
+  /// it up (it re-runs later), instead of exiting — the disk may drain
+  /// without any code change. All of it is scheduling-only; never results.
   std::uint64_t leaseMs = 30'000;
-  /// Heartbeat period; 0 resolves to leaseMs / 3 (three missed beats lose
-  /// the lease).
-  std::uint64_t heartbeatMs = 0;
   /// Base idle poll period for FleetWorker::run() when every pending shard
   /// is actively leased by someone else. Workers sleep with decorrelated
   /// jitter around this (uniform in [pollMs, 3 × previous sleep], capped at
   /// 16 × pollMs), so N workers sharing one store spread out instead of
   /// convoying on the flock every pollMs.
   std::uint64_t pollMs = 50;
-  /// Adapt lease deadlines to observed per-shard cost: when completion
-  /// leases with cost_ms exist for a cell, a new claim's lease duration is
-  /// adaptiveLeaseMs(costs, leaseQuantile, leaseMs) instead of the fixed
-  /// leaseMs — slow cells stop being falsely stolen, fast cells recover
-  /// quickly. Scheduling-only; never affects results.
-  bool adaptiveLease = true;
-  /// The cost quantile adaptive deadlines budget for (0 < q <= 1). The
-  /// default 0.9 tolerates the occasional slow shard without letting one
-  /// outlier set every deadline.
-  double leaseQuantile = 0.9;
-  /// Out-of-space park budget: when recording a computed shard fails with
-  /// ENOSPC/EDQUOT, the worker keeps its lease warm and retries the append
-  /// for this long before giving the shard up (it re-runs later), instead
-  /// of exiting — the disk may drain without any code change. 0 resolves
-  /// to 2 × leaseMs.
-  std::uint64_t parkMs = 0;
   /// Claim shards that carry a quarantine record anyway — the `--force`
   /// finishing pass. Off, workers skip them so a crash-looping shard cannot
   /// take the whole fleet down with it.
@@ -120,12 +109,6 @@ struct FleetConfig {
   /// PrunePolicy.enabled (the registry resolver's never are).
   WorkloadResolver workloadResolver;
 
-  [[nodiscard]] std::uint64_t resolvedHeartbeatMs() const noexcept {
-    return heartbeatMs != 0 ? heartbeatMs : leaseMs / 3;
-  }
-  [[nodiscard]] std::uint64_t resolvedParkMs() const noexcept {
-    return parkMs != 0 ? parkMs : 2 * leaseMs;
-  }
 };
 
 /// The adaptive lease duration for a cell: the `quantile`-th observed
@@ -135,6 +118,14 @@ struct FleetConfig {
 /// default). Pure; exposed for unit testing.
 std::uint64_t adaptiveLeaseMs(std::vector<std::uint64_t> costsMs,
                               double quantile, std::uint64_t baseMs);
+
+/// Parse the poison hook spec "NAME[:SHARD]" (split at the last colon)
+/// into config.poisonWorkload and config.poisonShard. NAME must be
+/// nonempty; SHARD, when present, a decimal count below 2^64−1
+/// (util::parseCount: no sign, no junk, no overflow). On an invalid spec
+/// returns false and leaves `config` untouched. The one parser behind
+/// `fleet_worker --poison` and ONEBIT_FLEET_POISON.
+bool parsePoisonHook(std::string_view spec, FleetConfig& config);
 
 /// The pid prefix of a "<pid>:<hex>" worker id (the id format FleetWorker
 /// derives); nullopt for foreign formats. Same-host lease liveness and the
@@ -184,12 +175,6 @@ class FleetBroker {
   /// True when every submitted cell is fully recorded.
   [[nodiscard]] bool complete();
 
-  /// Assemble the CampaignResult for one submitted cell from its shard
-  /// records, merged in shard order — the same merge a solo run performs.
-  /// nullopt while any of the cell's shards is missing.
-  [[nodiscard]] std::optional<CampaignResult> result(
-      const CampaignStore::CellRecord& cell);
-
   [[nodiscard]] CampaignStore& store() noexcept { return store_; }
 
  private:
@@ -222,10 +207,10 @@ class FleetWorker {
   FleetWorker(const FleetWorker&) = delete;
   FleetWorker& operator=(const FleetWorker&) = delete;
 
-  /// Claim and run at most one shard. Cost-ordered: cells by descending
-  /// (golden instructions × pending experiments), shards ascending within a
-  /// cell — the LPT order CampaignSuite uses, so the fleet finishes the
-  /// long pole first too.
+  /// Claim and run at most one shard. Cost-ordered: cells in lptOrder()
+  /// (fi/shard_executor.hpp), the order CampaignSuite enqueues them in,
+  /// shards ascending within a cell — so the fleet finishes the long pole
+  /// first too.
   Step step();
 
   /// step() until Done, Stalled, or Quarantined (or until `maxShards` fresh
@@ -238,12 +223,12 @@ class FleetWorker {
   [[nodiscard]] std::size_t shardsRun() const noexcept { return shardsRun_; }
 
  private:
-  struct CellExec;  ///< resolved workload + per-cell cache (fleet.cpp)
+  struct ResolvedCell;  ///< workload + shard executor (fleet.cpp)
 
   [[nodiscard]] std::uint64_t now() const;
   [[nodiscard]] bool leaseActive(const CampaignStore::LeaseRecord& lease,
                                  std::uint64_t nowMs) const;
-  CellExec* resolve(const CampaignStore::CellRecord& cell);
+  ResolvedCell* resolve(const CampaignStore::CellRecord& cell);
   [[nodiscard]] std::uint64_t leaseDurationFor(std::uint64_t cellKey);
 
   CampaignStore store_;
@@ -254,7 +239,8 @@ class FleetWorker {
   bool loaded_ = false;
   std::uint64_t jitterState_ = 0;  ///< decorrelated-jitter RNG state
   std::uint64_t prevSleepMs_ = 0;  ///< previous idle sleep (jitter input)
-  std::unordered_map<std::uint64_t, std::unique_ptr<CellExec>> execs_;
+  std::unordered_map<std::uint64_t, std::unique_ptr<ResolvedCell>>
+      resolved_;
   std::unordered_set<std::uint64_t> unrunnable_;
   /// store_.cells(), re-copied only when a read indexes cell records (a
   /// compaction rewind re-reads every cell, so it re-copies too).

@@ -1,66 +1,32 @@
 #include "fi/suite.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <memory>
 #include <mutex>
 #include <utility>
 
-#include "fi/outcome_cache.hpp"
+#include "fi/shard_executor.hpp"
 #include "util/thread_pool.hpp"
 
 namespace onebit::fi {
 
 namespace {
 
-/// Shard-local tally: one per (cell, shard), written by exactly one worker.
-struct ShardAccumulator {
-  stats::OutcomeCounts counts;
-  ActivationHistogram hist{};
-  PruneStats prune;
-
-  void add(const ExperimentResult& r) noexcept {
-    counts.add(r.outcome);
-    const unsigned bucket = std::min(r.activations, kMaxActivationBucket);
-    ++hist[static_cast<std::size_t>(r.outcome)][bucket];
-    switch (r.prune) {
-      case PruneEvent::None: break;
-      case PruneEvent::GoldenHash: ++prune.goldenHits; break;
-      case PruneEvent::CachedOutcome: ++prune.cacheHits; break;
-      case PruneEvent::Miss: ++prune.misses; break;
-    }
-  }
-};
-
-/// Per-cell execution plan: geometry, store metadata, shard slots, and the
+/// Per-cell execution state: the cell's executor, its shard slots, and the
 /// resumed/pending partition. A function of the cell and the SuiteConfig
 /// alone — never of the other cells — which is the whole argument that a
 /// cell's result does not depend on the suite it runs in.
 struct CellPlan {
-  const SuiteCell* cell = nullptr;
-  std::uint64_t candidates = 0;
-  std::size_t shardSize = 1;
-  std::size_t shards = 0;
-  CampaignStore::CampaignMeta meta;
-  std::vector<ShardAccumulator> partial;
+  explicit CellPlan(ShardExecutor e) : exec(std::move(e)) {}
+
+  ShardExecutor exec;
+  std::vector<ShardTally> partial;
   std::vector<unsigned char> resumed;
-  std::vector<unsigned char> executed;
   std::vector<std::size_t> pending;
-  /// The cell's outcome-equivalence cache; null unless the cell's workload
-  /// was built with PrunePolicy.enabled.
-  std::unique_ptr<OutcomeCache> cache;
   std::size_t resumedExperiments = 0;
   // Progress-side counters, guarded by the suite's progress mutex.
   std::size_t completedShards = 0;
   std::size_t completedExperiments = 0;
-
-  [[nodiscard]] std::size_t first(std::size_t s) const noexcept {
-    return s * shardSize;
-  }
-  [[nodiscard]] std::size_t count(std::size_t s) const noexcept {
-    return std::min(cell->experiments, first(s) + shardSize) - first(s);
-  }
 };
 
 }  // namespace
@@ -93,57 +59,31 @@ std::size_t CampaignSuite::totalExperiments() const noexcept {
 std::vector<CampaignResult> CampaignSuite::run() const {
   const std::size_t nCells = cells_.size();
   const std::size_t threads = resolveThreads(config_.threads);
-  const bool useStore = config_.record != nullptr || config_.resume != nullptr;
 
-  // Plan every cell up front: geometry, the resume partition (consulting the
-  // store index once per shard), and the per-cell checkpoint cap.
-  std::vector<CellPlan> plans(nCells);
+  // Plan every cell up front: its executor, the resume partition (consulting
+  // the store index once per shard), and the per-cell checkpoint cap.
+  std::vector<CellPlan> plans;
+  plans.reserve(nCells);
   std::size_t suiteTotal = 0;
-  for (std::size_t c = 0; c < nCells; ++c) {
-    const SuiteCell& cell = cells_[c];
-    CellPlan& plan = plans[c];
-    plan.cell = &cell;
+  for (const SuiteCell& cell : cells_) {
     const std::size_t n = cell.experiments;
     suiteTotal += n;
-    if (n == 0) continue;  // trivially complete; zero shards
-    plan.candidates = cell.workload->candidates(cell.model.domain);
-    plan.shardSize = resolveShardSize(n, config_.shardSize);
-    plan.shards = (n + plan.shardSize - 1) / plan.shardSize;
-    plan.partial.resize(plan.shards);
-    plan.resumed.assign(plan.shards, 0);
-    plan.executed.assign(plan.shards, 0);
-    plan.pending.reserve(plan.shards);
-    if (useStore) {
-      plan.meta.key = CampaignStore::campaignKey(
-          cell.model, n, cell.seed, cell.workload->fingerprintFor(cell.model));
-      plan.meta.workload = cell.storeName;
-      plan.meta.specLabel = cell.model.label();
-      plan.meta.seed = cell.seed;
-      plan.meta.experiments = n;
-      plan.meta.candidates = plan.candidates;
-    }
-    if (cell.workload->pruningEnabled()) {
-      plan.cache = std::make_unique<OutcomeCache>();
-      if (useStore) {
-        const std::uint64_t cacheKey =
-            CampaignStore::outcomeCacheKey(plan.meta.key);
-        if (config_.resume != nullptr) {
-          plan.cache->warmFrom(*config_.resume, cacheKey);
-        }
-        if (config_.record != nullptr) {
-          plan.cache->bindStore(config_.record, cacheKey);
-        }
-      }
-    }
-    for (std::size_t s = 0; s < plan.shards; ++s) {
+    CellPlan& plan = plans.emplace_back(
+        ShardExecutor(cell, resolveShardSize(n, config_.shardSize),
+                      config_.resume, config_.record));
+    const ShardGeometry& geo = plan.exec.geometry();
+    plan.partial.resize(geo.shards());
+    plan.resumed.assign(geo.shards(), 0);
+    plan.pending.reserve(geo.shards());
+    for (std::size_t s = 0; s < geo.shards(); ++s) {
       if (config_.resume != nullptr) {
         if (const CampaignStore::ShardAggregate* agg =
-                config_.resume->findShard(plan.meta.key, plan.first(s),
-                                          plan.count(s))) {
+                config_.resume->findShard(plan.exec.meta().key, geo.first(s),
+                                          geo.count(s))) {
           plan.partial[s].counts = agg->counts;
           plan.partial[s].hist = agg->hist;
           plan.resumed[s] = 1;
-          plan.resumedExperiments += plan.count(s);
+          plan.resumedExperiments += geo.count(s);
           continue;
         }
       }
@@ -159,15 +99,15 @@ std::vector<CampaignResult> CampaignSuite::run() const {
     // under this cell's campaign key, yet none matched the current shard
     // ranges — almost always a shardSize change between the recording and
     // resuming runs. The cell still computes correctly; it just re-runs.
-    if (config_.resume != nullptr && plan.resumedExperiments == 0) {
+    if (config_.resume != nullptr && n != 0 && plan.resumedExperiments == 0) {
       const std::size_t recorded =
-          config_.resume->recordedExperiments(plan.meta.key);
+          config_.resume->recordedExperiments(plan.exec.meta().key);
       if (recorded != 0) {
         std::fprintf(stderr,
                      "warning: campaign store has %zu experiment(s) recorded "
                      "for campaign '%s', but none match the current shard "
                      "geometry (shardSize=%zu); re-running them\n",
-                     recorded, cell.label.c_str(), plan.shardSize);
+                     recorded, cell.label.c_str(), geo.shardSize);
       }
     }
   }
@@ -187,19 +127,21 @@ std::vector<CampaignResult> CampaignSuite::run() const {
   // counters are consistent.
   auto report = [&](std::size_t c, std::size_t s, bool resumedShard) {
     CellPlan& plan = plans[c];
-    const std::size_t cnt = plan.count(s);
+    const SuiteCell& cell = plan.exec.cell();
+    const ShardGeometry& geo = plan.exec.geometry();
+    const std::size_t cnt = geo.count(s);
     ++plan.completedShards;
     plan.completedExperiments += cnt;
     suiteCompleted += cnt;
     if (!resumedShard) {
       suiteShortCircuited += plan.partial[s].prune.shortCircuited();
     }
-    if (plan.completedExperiments == plan.cell->experiments) ++completedCells;
-    progress_(SuiteProgress{c, plan.cell->label, plan.completedExperiments,
-                            plan.cell->experiments, completedCells, nCells,
+    if (plan.completedExperiments == cell.experiments) ++completedCells;
+    progress_(SuiteProgress{c, cell.label, plan.completedExperiments,
+                            cell.experiments, completedCells, nCells,
                             suiteCompleted, suiteTotal, resumedShard,
-                            suiteShortCircuited, s, plan.shards,
-                            plan.first(s), cnt, plan.completedShards,
+                            suiteShortCircuited, s, geo.shards(),
+                            geo.first(s), cnt, plan.completedShards,
                             plan.partial[s].counts});
   };
 
@@ -208,58 +150,36 @@ std::vector<CampaignResult> CampaignSuite::run() const {
   if (reporting) {
     std::lock_guard lock(progressMutex);
     for (std::size_t c = 0; c < nCells; ++c) {
-      for (std::size_t s = 0; s < plans[c].shards; ++s) {
+      for (std::size_t s = 0; s < plans[c].resumed.size(); ++s) {
         if (plans[c].resumed[s] != 0) report(c, s, /*resumed=*/true);
       }
     }
   }
 
-  // Cost-ordered enqueue (longest-processing-time-first): cells are queued
-  // in descending order of estimated remaining work — golden dynamic
-  // instructions × pending experiments — so the sweep's long pole starts
-  // the moment the pool spins up and the short cells fill the tail of the
-  // schedule instead of delaying it. Scheduling order can never change
-  // results (each shard writes its own slot and the per-cell merge is in
-  // shard order); ties keep addCell order so the task sequence is
-  // deterministic.
-  std::vector<std::pair<std::size_t, std::size_t>> tasks;
-  std::size_t taskCount = 0;
-  std::vector<std::uint64_t> cost(nCells, 0);
+  // Enqueue cells in LPT order (cells with nothing pending never touch
+  // their workload — a zero-experiment cell may not have one). Each shard
+  // writes its own slot and the per-cell merge is in shard order, so the
+  // task order can never change results.
+  std::vector<PendingWork> work(nCells);
   for (std::size_t c = 0; c < nCells; ++c) {
     const CellPlan& plan = plans[c];
-    taskCount += plan.pending.size();
-    // Cells with nothing pending keep cost 0 without touching the workload
-    // (a zero-experiment cell never had its workload dereferenced anywhere).
     if (plan.pending.empty()) continue;
-    std::size_t pendingExperiments = 0;
-    for (const std::size_t s : plan.pending) pendingExperiments += plan.count(s);
-    cost[c] = plan.cell->workload->golden().instructions *
-              static_cast<std::uint64_t>(pendingExperiments);
+    for (const std::size_t s : plan.pending) {
+      work[c].experiments += plan.exec.geometry().count(s);
+    }
+    work[c].goldenInstrs = plan.exec.cell().workload->golden().instructions;
   }
-  std::vector<std::size_t> order(nCells);
-  for (std::size_t c = 0; c < nCells; ++c) order[c] = c;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return cost[a] > cost[b]; });
-  tasks.reserve(taskCount);
-  for (const std::size_t c : order) {
+  std::vector<std::pair<std::size_t, std::size_t>> tasks;
+  for (const std::size_t c : lptOrder(work)) {
     for (const std::size_t s : plans[c].pending) tasks.emplace_back(c, s);
   }
 
   auto runTask = [&](std::size_t t) {
     const auto [c, s] = tasks[t];
     CellPlan& plan = plans[c];
-    const SuiteCell& cell = *plan.cell;
-    const std::size_t first = plan.first(s);
-    const std::size_t last = first + plan.count(s);
-    ShardAccumulator& acc = plan.partial[s];
-    for (std::size_t i = first; i < last; ++i) {
-      const FaultPlan fp =
-          FaultPlan::forExperiment(cell.model, plan.candidates, cell.seed, i);
-      acc.add(runExperiment(*cell.workload, fp, plan.cache.get()));
-    }
+    plan.partial[s] = plan.exec.run(s);
     if (config_.record != nullptr &&
-        !config_.record->appendShard(plan.meta, s, first, last - first,
-                                     {acc.counts, acc.hist}) &&
+        !plan.exec.record(*config_.record, s, plan.partial[s]) &&
         !storeWriteFailed.exchange(true)) {
       // Warn once per run: a silently unwritable store would let the user
       // kill the run believing its shards are persisted.
@@ -282,7 +202,7 @@ std::vector<CampaignResult> CampaignSuite::run() const {
   }
 
   // Assemble per-cell results, merging in shard order (resumed and executed
-  // shards alike; shards skipped by a capped run stay zero). Order does not
+  // shards alike; shards skipped by a capped run stay out). Order does not
   // affect the result — integer adds commute — but it is fixed anyway so
   // intermediate states are reproducible.
   std::vector<CampaignResult> results(nCells);
@@ -292,10 +212,11 @@ std::vector<CampaignResult> CampaignSuite::run() const {
     CampaignResult& result = results[c];
     result.config = {cell.model, cell.experiments, cell.seed};
     result.resumedExperiments = plan.resumedExperiments;
-    for (const std::size_t s : plan.pending) plan.executed[s] = 1;
-    for (std::size_t s = 0; s < plan.shards; ++s) {
-      if (plan.resumed[s] == 0 && plan.executed[s] == 0) continue;
-      result.completedExperiments += plan.count(s);
+    std::vector<unsigned char> tallied = std::move(plan.resumed);
+    for (const std::size_t s : plan.pending) tallied[s] = 1;
+    for (std::size_t s = 0; s < tallied.size(); ++s) {
+      if (tallied[s] == 0) continue;
+      result.completedExperiments += plan.exec.geometry().count(s);
       result.counts.merge(plan.partial[s].counts);
       mergeHistogram(result.activationHist, plan.partial[s].hist);
       result.prune += plan.partial[s].prune;  // zeros on resumed shards

@@ -20,12 +20,14 @@
 // unchanged as well (each cell keeps its own campaign key), so a store
 // written by one suite resumes in any other.
 //
-// Scheduling: cells are enqueued longest-estimated-first (estimated cost =
-// the workload's golden dynamic instruction count × the cell's pending
-// experiments — the classic LPT makespan heuristic), so the most expensive
-// cell starts the moment the pool spins up regardless of addCell order, and
-// cheap cells pack the tail of the schedule instead of delaying the long
-// pole. Ties keep addCell order; scheduling order never affects results.
+// Scheduling: cells are enqueued longest-estimated-first (fi::lptOrder;
+// estimated cost = the workload's golden dynamic instruction count × the
+// cell's pending experiments — the classic LPT makespan heuristic), so the
+// most expensive cell starts the moment the pool spins up regardless of
+// addCell order, and cheap cells pack the tail of the schedule instead of
+// delaying the long pole. Ties keep addCell order; scheduling order never
+// affects results. Each shard runs through the cell's fi::ShardExecutor
+// (fi/shard_executor.hpp), the unit fleet workers run shards through too.
 #pragma once
 
 #include <cstdint>

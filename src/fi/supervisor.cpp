@@ -279,9 +279,10 @@ FleetSupervisor::Report FleetSupervisor::run() {
       report.quarantined.push_back(
           {cell.key, cell.workload, q.first, q.count, q.crashes});
     }
-    for (std::size_t s = 0; s < cell.shardCount(); ++s) {
-      const std::size_t first = cell.shardFirst(s);
-      const std::size_t count = cell.shardExperiments(s);
+    const ShardGeometry geo = cell.geometry();
+    for (std::size_t s = 0; s < geo.shards(); ++s) {
+      const std::size_t first = geo.first(s);
+      const std::size_t count = geo.count(s);
       if (store.findShard(cell.key, first, count) == nullptr &&
           !store.findQuarantine(cell.key, first, count)) {
         report.converged = false;

@@ -1,8 +1,7 @@
 // The direct-threaded execution loop (the DispatchBackend::Threaded fast
 // path). Executes the pre-decoded stream of vm/threaded.hpp with one
-// computed `goto *label` per instruction on GCC/Clang; other compilers run
-// the same decoded stream through a switch (still much cheaper than the
-// reference loop's per-execution ir::Instr decode).
+// computed `goto *label` per instruction (the GCC/Clang labels-as-values
+// extension).
 //
 // Semantics are a field-for-field replica of the hook-free, non-capturing,
 // non-hashing instantiation of Machine::loop() in vm/machine.cpp — the
@@ -27,25 +26,10 @@
 #include "vm/machine.hpp"
 #include "vm/threaded.hpp"
 
-// The compiler gate. CMake passes -DONEBIT_COMPUTED_GOTO=0/1 after a
-// feature check; standalone builds fall back to detecting the extension by
-// compiler family.
-#ifndef ONEBIT_COMPUTED_GOTO
-#if defined(__GNUC__) || defined(__clang__)
-#define ONEBIT_COMPUTED_GOTO 1
-#else
-#define ONEBIT_COMPUTED_GOTO 0
-#endif
-#endif
-
 namespace onebit::vm::detail {
 
-// OB_CASE introduces one opcode's body; OB_NEXT ends it by fetching and
-// dispatching the next instruction. In computed-goto mode the bodies are
-// labels and OB_NEXT is the fetch + `goto *label`; in portable mode the
-// bodies are switch cases inside a for(;;) whose top performs the fetch,
-// and OB_NEXT just leaves the switch.
-#if ONEBIT_COMPUTED_GOTO
+// OB_CASE introduces one opcode's body (a label); OB_NEXT ends it by
+// fetching the next instruction and dispatching with `goto *label`.
 #define OB_CASE(name) Lbl_##name:
 #define OB_NEXT()                       \
   do {                                  \
@@ -56,10 +40,6 @@ namespace onebit::vm::detail {
     reads += op->countsRead;            \
     goto* op->label;                    \
   } while (0)
-#else
-#define OB_CASE(name) case ir::Opcode::name:
-#define OB_NEXT() break
-#endif
 
 // Operand slot -> value (register read or immediate).
 #define OB_VAL(A) ((A).reg != ir::kNoReg ? regs[(A).reg] : (A).imm)
@@ -94,7 +74,6 @@ namespace onebit::vm::detail {
 
 void runThreadedLoop(Machine* mp, const ThreadedCode* codep,
                      const void* const** labelsOut) {
-#if ONEBIT_COMPUTED_GOTO
   static const void* const kLabels[ThreadedCode::kNumOpcodes] = {
       &&Lbl_Add,     &&Lbl_Sub,    &&Lbl_Mul,    &&Lbl_SDiv,   &&Lbl_SRem,
       &&Lbl_And,     &&Lbl_Or,     &&Lbl_Xor,    &&Lbl_Shl,    &&Lbl_LShr,
@@ -110,12 +89,6 @@ void runThreadedLoop(Machine* mp, const ThreadedCode* codep,
     *labelsOut = kLabels;
     return;
   }
-#else
-  if (labelsOut != nullptr) {
-    *labelsOut = nullptr;
-    return;
-  }
-#endif
 
   Machine& m = *mp;
   const ThreadedCode& code = *codep;
@@ -151,15 +124,7 @@ void runThreadedLoop(Machine* mp, const ThreadedCode* codep,
     pc = fn->blockStart[frame.block] + frame.ip;
   }
 
-#if ONEBIT_COMPUTED_GOTO
   OB_NEXT();
-#else
-  for (;;) {
-    op = &fnOps[pc++];
-    if (++instrs > fuel) goto fuel_exhausted;
-    reads += op->countsRead;
-    switch (op->op) {
-#endif
 
   OB_CASE(Add) {
     const ThreadedCode::Arg* a = argPool + op->argBase;
@@ -435,11 +400,6 @@ void runThreadedLoop(Machine* mp, const ThreadedCode* codep,
     m.trap(TrapKind::Abort);
     goto sync_exit;
   }
-
-#if !ONEBIT_COMPUTED_GOTO
-    }
-  }
-#endif
 
 fuel_exhausted:
   m.result_.status = ExecStatus::FuelExhausted;

@@ -32,8 +32,7 @@ std::uint64_t hashInstr(std::uint64_t h, const ir::Instr& in) noexcept {
 /// Decode `mod` into a fresh stream, or nullptr for unsupported shapes.
 std::shared_ptr<const ThreadedCode> build(const ir::Module& mod,
                                           std::uint64_t fingerprint) {
-  // The label table is owned by the loop translation unit; null labels mean
-  // the portable loop (switch over Op::op) runs the stream instead.
+  // The label table is owned by the loop translation unit.
   const void* const* labels = nullptr;
   detail::runThreadedLoop(nullptr, nullptr, &labels);
 
@@ -55,10 +54,7 @@ std::shared_ptr<const ThreadedCode> build(const ir::Module& mod,
         const ir::Instr& in = bb.instrs[ii];
         if (in.operands.size() > ThreadedCode::kMaxOperands) return nullptr;
         ThreadedCode::Op op;
-        op.op = in.op;
-        if (labels != nullptr) {
-          op.label = labels[static_cast<std::size_t>(in.op)];
-        }
+        op.label = labels[static_cast<std::size_t>(in.op)];
         op.block = static_cast<std::uint32_t>(bi);
         op.ip = static_cast<std::uint32_t>(ii);
         op.dest = in.dest;

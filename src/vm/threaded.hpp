@@ -8,7 +8,7 @@
 // label pointer, pre-resolved branch targets (stream indices), operand slots
 // in a shared contiguous pool, and pre-computed candidate-counter flags —
 // which the loop in vm/machine_threaded.cpp executes with one `goto *p` per
-// instruction (GCC/Clang; a decoded switch on other compilers).
+// instruction (the GCC/Clang labels-as-values extension).
 //
 // Layout invariant: a function's Ops appear block by block in block order,
 // one Op per ir::Instr, so the stream index of (block, ip) is
@@ -47,8 +47,7 @@ class ThreadedCode {
     std::uint64_t imm = 0;
   };
 
-  /// One decoded instruction. `label` is the computed-goto target (null when
-  /// the build has no label table — the portable loop switches on `op`).
+  /// One decoded instruction. `label` is its opcode's computed-goto target.
   struct Op {
     const void* label = nullptr;
     std::uint64_t imm = 0;       ///< Const value / FrameAddr offset bits
@@ -61,7 +60,6 @@ class ThreadedCode {
     std::uint8_t nops = 0;
     std::uint8_t countsRead = 0;   ///< 1 = reads >= 1 register operand
     std::uint8_t countsWrite = 0;  ///< 1 = dest write is a write candidate
-    ir::Opcode op = ir::Opcode::Abort;
     ir::IntrinsicKind intrinsic = ir::IntrinsicKind::Sqrt;
     ir::PrintKind printKind = ir::PrintKind::I64;
   };
@@ -100,8 +98,8 @@ namespace detail {
 /// Normal mode: runs `m` (which must be between instructions, hook-free,
 /// non-capturing, non-hashing) to completion on `code`. Label-collection
 /// mode: when `labelsOut` is non-null, stores the loop's computed-goto label
-/// table (indexed by ir::Opcode; null when the build lacks computed goto)
-/// and returns without touching `m`/`code` (both may be null).
+/// table (indexed by ir::Opcode) and returns without touching `m`/`code`
+/// (both may be null).
 void runThreadedLoop(Machine* m, const ThreadedCode* code,
                      const void* const** labelsOut);
 

@@ -606,6 +606,50 @@ TEST_F(CampaignStoreFixture, CompactNeverChangesWhatLoadIndexes) {
   EXPECT_TRUE(check->clean());
 }
 
+TEST_F(CampaignStoreFixture, RefreshAcrossCompactionEqualsAFreshLoad) {
+  const CampaignStore::CampaignMeta meta{0xab, "qsort", "read/single", 1, 8,
+                                         100};
+  CampaignStore::ShardAggregate agg;
+  for (const stats::Outcome o : {stats::Outcome::Benign, stats::Outcome::SDC}) {
+    agg.counts.add(o);
+    ++agg.hist[static_cast<std::size_t>(o)][1];
+  }
+  // Eight heartbeats on shard `s`, then its record, which supersedes them.
+  auto leasedShard = [&](CampaignStore& writer, std::size_t s) {
+    for (std::uint64_t beat = 1; beat <= 8; ++beat) {
+      ASSERT_TRUE(writer.appendLease(meta.key, {2 * s, 2, "1:aa", 1, beat}));
+    }
+    ASSERT_TRUE(writer.appendShard(meta, s, 2 * s, 2, agg));
+  };
+  {
+    CampaignStore writer(path_, CampaignStore::WriteMode::Atomic);
+    ASSERT_TRUE(writer.appendShard(meta, 0, 0, 2, agg));
+    leasedShard(writer, 1);
+  }
+  CampaignStore reader(path_, CampaignStore::WriteMode::Atomic);
+  reader.load();
+  ASSERT_EQ(reader.recordedExperiments(meta.key), 4u);
+
+  // Compaction renames a shorter file into place (the leases go); appends
+  // then grow it past the reader's old offset.
+  const auto stats = CampaignStore::compact(path_);
+  ASSERT_TRUE(stats.has_value());
+  ASSERT_TRUE(stats->rewritten);
+  {
+    CampaignStore writer(path_, CampaignStore::WriteMode::Atomic);
+    writer.load();
+    ASSERT_TRUE(writer.appendShard(meta, 2, 4, 2, agg));
+    leasedShard(writer, 3);
+  }
+  reader.refresh();
+  CampaignStore fresh(path_);
+  fresh.load();
+  EXPECT_EQ(fresh.recordedExperiments(meta.key), 8u);
+  EXPECT_EQ(reader.recordedExperiments(meta.key), 8u);
+  EXPECT_EQ(reader.snapshot(), fresh.snapshot());
+  std::remove((path_ + ".lock").c_str());
+}
+
 TEST_F(CampaignStoreFixture, CompactKeepsUnknownKindsVerbatim) {
   const std::string shard =
       shardLine("0x00000000000000ab", 0, "[4,0,0,0,0]", "[[0,0,4]]");

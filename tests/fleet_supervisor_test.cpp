@@ -242,19 +242,24 @@ TEST_F(SupervisorFixture, AdaptiveDeadlineTracksObservedCostOnAFakeClock) {
   EXPECT_EQ(claimed->costMs, 0u);
   EXPECT_EQ(claimed->deadlineMs, fakeNow + 4'000);
 
-  // With adaptation off the same machinery uses the fixed default. Advance
-  // past the foreign lease's deadline so shard 0 becomes claimable.
-  fakeNow = 10'000;
-  FleetConfig fixed = config;
-  fixed.adaptiveLease = false;
-  FleetWorker fixedWorker(path_, "", fixed);
-  EXPECT_EQ(fixedWorker.step(), FleetWorker::Step::Idle);
+  // A cell with no completion samples keeps the fixed default. It is twice
+  // the size, so it sorts first and takes the next claim.
+  const CellSpec other{"beta", FaultModel::singleBit(FaultDomain::RegisterRead),
+                       20, 0xbbb3};
+  const auto unsampledCell = FleetBroker::makeCell(
+      other.name, *beta_, other.model, other.experiments, other.seed, 20);
+  ASSERT_TRUE(unsampledCell.has_value());
+  {
+    FleetBroker broker(path_);
+    ASSERT_TRUE(broker.submit(*unsampledCell));
+  }
+  FleetWorker second(path_, "", config);
+  EXPECT_EQ(second.step(), FleetWorker::Step::Idle);
   store.refresh();
-  const auto reclaimed = store.latestLease(cell->key, 0, 5);
-  ASSERT_TRUE(reclaimed.has_value());
-  EXPECT_EQ(reclaimed->worker, fixedWorker.workerId());
-  EXPECT_EQ(reclaimed->epoch, 2u);
-  EXPECT_EQ(reclaimed->deadlineMs, fakeNow + 8'000);
+  const auto fixed = store.latestLease(unsampledCell->key, 0, 20);
+  ASSERT_TRUE(fixed.has_value());
+  EXPECT_EQ(fixed->worker, second.workerId());
+  EXPECT_EQ(fixed->deadlineMs, fakeNow + 8'000);
 }
 
 TEST_F(SupervisorFixture, QuarantinedShardIsSkippedUntilForced) {
@@ -296,9 +301,10 @@ TEST_F(SupervisorFixture, QuarantinedShardIsSkippedUntilForced) {
   EXPECT_TRUE(broker.complete());
 
   // The finished run is bit-identical to solo despite the detour.
-  const auto result = broker.result(*cell);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->counts, solo(spec).counts);
+  const CampaignStore::Snapshot snap = broker.store().snapshot();
+  const CampaignStore::Snapshot::Campaign& camp = snap.campaigns.at(cell->key);
+  ASSERT_TRUE(camp.complete());
+  EXPECT_EQ(camp.totals(), solo(spec).counts);
 }
 
 // ---------------------------------------------------------- runFleet runs
@@ -360,9 +366,9 @@ TEST_F(SupervisorFixture, WorkersWithoutAResolverInheritTheSuiteOnRespawn) {
     CampaignStore store(path_, CampaignStore::WriteMode::Atomic);
     store.load();
     for (const CampaignStore::CellRecord& cell : store.cells()) {
-      for (std::size_t s = 0; s < cell.shardCount(); ++s) {
-        const std::size_t first = cell.shardFirst(s);
-        const std::size_t count = cell.shardExperiments(s);
+      for (std::size_t s = 0; s < cell.geometry().shards(); ++s) {
+        const std::size_t first = cell.geometry().first(s);
+        const std::size_t count = cell.geometry().count(s);
         EXPECT_NE(store.findShard(cell.key, first, count), nullptr);
         // A completion lease: a worker ran the shard, not the final pass.
         const auto lease = store.latestLease(cell.key, first, count);

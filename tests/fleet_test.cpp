@@ -95,9 +95,9 @@ void expectWorkersRanEveryShard(const std::string& path) {
   const std::vector<CampaignStore::CellRecord> cells = store.cells();
   ASSERT_FALSE(cells.empty());
   for (const CampaignStore::CellRecord& cell : cells) {
-    for (std::size_t s = 0; s < cell.shardCount(); ++s) {
-      const std::size_t first = cell.shardFirst(s);
-      const std::size_t count = cell.shardExperiments(s);
+    for (std::size_t s = 0; s < cell.geometry().shards(); ++s) {
+      const std::size_t first = cell.geometry().first(s);
+      const std::size_t count = cell.geometry().count(s);
       EXPECT_NE(store.findShard(cell.key, first, count), nullptr)
           << cell.workload << " shard " << s;
       const auto lease = store.latestLease(cell.key, first, count);
@@ -203,6 +203,27 @@ class FleetFixture : public ::testing::Test {
   std::string path_;
 };
 
+TEST(FleetPoisonHook, ParsesNameAndShardAndRefusesTheRest) {
+  FleetConfig config;
+  ASSERT_TRUE(parsePoisonHook("qsort", config));
+  EXPECT_EQ(config.poisonWorkload, "qsort");
+  EXPECT_EQ(config.poisonShard, static_cast<std::size_t>(-1));  // any shard
+  ASSERT_TRUE(parsePoisonHook("qsort:3", config));
+  EXPECT_EQ(config.poisonWorkload, "qsort");
+  EXPECT_EQ(config.poisonShard, 3u);
+
+  // Each of these leaves the hook as it was: strtoull would read "-1" as
+  // 2^64-1 ("every shard") and keep "abc" in the workload name.
+  for (const char* bad : {"qsort:-1", "qsort:abc", ":3", "x:",
+                          "x:18446744073709551616", "x:18446744073709551615",
+                          ""}) {
+    FleetConfig off;
+    EXPECT_FALSE(parsePoisonHook(bad, off)) << bad;
+    EXPECT_TRUE(off.poisonWorkload.empty()) << bad;
+    EXPECT_EQ(off.poisonShard, static_cast<std::size_t>(-1)) << bad;
+  }
+}
+
 TEST_F(FleetFixture, MakeCellStampsTheContractAndRefusesTheInexpressible) {
   const FaultModel model = FaultModel::singleBit(FaultDomain::RegisterRead);
   const auto cell = FleetBroker::makeCell("alpha", *alpha_, model, 96,
@@ -218,7 +239,7 @@ TEST_F(FleetFixture, MakeCellStampsTheContractAndRefusesTheInexpressible) {
   EXPECT_EQ(cell->shardSize, 16u);
   EXPECT_EQ(cell->hangFactor, alpha_->hangFactor());
   EXPECT_EQ(cell->dynInstrs, alpha_->golden().instructions);
-  EXPECT_EQ(cell->shardCount(), 6u);
+  EXPECT_EQ(cell->geometry().shards(), 6u);
 
   // Not expressible as a fleet cell: no workload name, no experiments, or
   // no shard geometry. Each must be refused, not submitted-and-stalled.
@@ -263,7 +284,7 @@ TEST_F(FleetFixture, FleetMatchesSoloForOneTwoAndFourWorkers) {
     EXPECT_TRUE(broker.complete());
     for (const FleetBroker::CellStatus& st : broker.status()) {
       EXPECT_TRUE(st.complete());
-      EXPECT_EQ(st.recordedShards, st.cell.shardCount());
+      EXPECT_EQ(st.recordedShards, st.cell.geometry().shards());
     }
   }
 }
@@ -382,12 +403,12 @@ TEST_F(FleetFixture, ExpiredLeaseIsReclaimedAtTheNextEpoch) {
   EXPECT_EQ(lease->worker, worker.workerId());
 
   // The run the two epochs produced is bit-identical to solo.
-  FleetBroker broker(path_);
-  const auto result = broker.result(*cell);
-  ASSERT_TRUE(result.has_value());
+  const CampaignStore::Snapshot snap = store.snapshot();
+  const CampaignStore::Snapshot::Campaign& camp = snap.campaigns.at(cell->key);
+  ASSERT_TRUE(camp.complete());
   const CampaignResult ref = solo(spec);
-  EXPECT_EQ(result->counts, ref.counts);
-  EXPECT_EQ(result->activationHist, ref.activationHist);
+  EXPECT_EQ(camp.totals(), ref.counts);
+  EXPECT_EQ(camp.histogram(), ref.activationHist);
 }
 
 TEST_F(FleetFixture, DeadPidLeaseIsStolenBeforeItsDeadline) {
@@ -670,9 +691,9 @@ TEST_F(FleetFixture, WorkerClaimsInLptOrderAndPicksUpLateCells) {
     for (const CampaignStore::CellRecord& cell : submitted) {
       std::size_t pending = 0;
       std::optional<std::size_t> lowest;
-      for (std::size_t s = 0; s < cell.shardCount(); ++s) {
+      for (std::size_t s = 0; s < cell.geometry().shards(); ++s) {
         if (recorded.count({cell.key, s}) != 0) continue;
-        pending += cell.shardExperiments(s);
+        pending += cell.geometry().count(s);
         if (!lowest) lowest = s;
       }
       if (lowest && (!best || cell.dynInstrs * pending > bestCost)) {
@@ -696,10 +717,10 @@ TEST_F(FleetFixture, WorkerClaimsInLptOrderAndPicksUpLateCells) {
     reader.load();
     std::vector<std::pair<std::uint64_t, std::size_t>> fresh;
     for (const CampaignStore::CellRecord& cell : submitted) {
-      for (std::size_t s = 0; s < cell.shardCount(); ++s) {
+      for (std::size_t s = 0; s < cell.geometry().shards(); ++s) {
         if (recorded.count({cell.key, s}) == 0 &&
-            reader.findShard(cell.key, cell.shardFirst(s),
-                             cell.shardExperiments(s)) != nullptr) {
+            reader.findShard(cell.key, cell.geometry().first(s),
+                             cell.geometry().count(s)) != nullptr) {
           fresh.emplace_back(cell.key, s);
         }
       }

@@ -55,8 +55,8 @@ int printStatus(onebit::fi::FleetBroker& broker) {
                 "leases: %zu active, %zu expired",
                 st.cell.workload.c_str(), st.cell.spec.c_str(),
                 st.recordedExperiments, st.cell.experiments,
-                st.recordedShards, st.cell.shardCount(), st.activeLeases,
-                st.expiredLeases);
+                st.recordedShards, st.cell.geometry().shards(),
+                st.activeLeases, st.expiredLeases);
     if (st.quarantinedShards != 0) {
       std::printf("  quarantined: %zu", st.quarantinedShards);
     }
@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
         for (const auto& st : cells) {
           if (st.complete()) continue;
           const std::size_t missing =
-              st.cell.shardCount() - st.recordedShards;
+              st.cell.geometry().shards() - st.recordedShards;
           if (st.activeLeases != 0 || st.quarantinedShards < missing) {
             blocked = false;
             break;

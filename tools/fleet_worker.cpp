@@ -9,7 +9,6 @@
 // e.g. via the bench drivers), 4 = only quarantined shards remain
 // (Quarantined; re-run with --force or finish in-process), 1 = error.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
@@ -26,41 +25,16 @@ void usage(const char* argv0) {
       stderr,
       "usage: %s STORE.jsonl [options]\n"
       "  --id ID            worker id (default: <pid>:<hex nonce>)\n"
-      "  --lease-ms N       base lease duration (default 30000)\n"
-      "  --heartbeat-ms N   heartbeat period (default lease/3)\n"
+      "  --lease-ms N       base lease duration (default 30000); heartbeats\n"
+      "                     every lease/3, deadlines adapt to observed cost\n"
       "  --poll-ms N        idle poll base period (default 50; actual sleeps\n"
       "                     use decorrelated jitter up to 16x this)\n"
       "  --max-shards N     stop after N fresh shards (default: unlimited)\n"
       "  --no-liveness      never probe lease holders' pids (multi-host)\n"
       "  --force            also claim quarantined shards\n"
-      "  --lease-quantile Q adaptive deadline quantile in (0,1] (default\n"
-      "                     0.9); deadlines track observed shard cost\n"
-      "  --no-adaptive      fixed lease deadlines (ignore observed cost)\n"
       "  --poison NAME[:S]  test hook: SIGKILL self after claiming shard S\n"
       "                     (any shard if omitted) of workload NAME\n",
       argv0);
-}
-
-bool parseQuantile(const char* s, double& out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || !(v > 0.0) || v > 1.0) return false;
-  out = v;
-  return true;
-}
-
-/// "NAME" or "NAME:SHARD" → poison hook fields. NAME must be nonempty.
-bool parsePoison(const char* s, onebit::fi::FleetConfig& config) {
-  const char* colon = std::strrchr(s, ':');
-  if (colon == nullptr) {
-    config.poisonWorkload = s;
-  } else {
-    std::uint64_t shard = 0;
-    if (colon == s || !parseCount(colon + 1, shard)) return false;
-    config.poisonWorkload.assign(s, static_cast<std::size_t>(colon - s));
-    config.poisonShard = static_cast<std::size_t>(shard);
-  }
-  return !config.poisonWorkload.empty();
 }
 
 }  // namespace
@@ -81,22 +55,16 @@ int main(int argc, char** argv) {
       config.sameHostLiveness = false;
     } else if (arg == "--force") {
       config.ignoreQuarantine = true;
-    } else if (arg == "--no-adaptive") {
-      config.adaptiveLease = false;
     } else if (arg == "--id" && hasValue) {
       id = argv[++i];
     } else if (arg == "--lease-ms" && hasValue &&
                parseCount(argv[++i], config.leaseMs)) {
-    } else if (arg == "--heartbeat-ms" && hasValue &&
-               parseCount(argv[++i], config.heartbeatMs)) {
     } else if (arg == "--poll-ms" && hasValue &&
                parseCount(argv[++i], config.pollMs)) {
     } else if (arg == "--max-shards" && hasValue &&
                parseCount(argv[++i], maxShards)) {
-    } else if (arg == "--lease-quantile" && hasValue &&
-               parseQuantile(argv[++i], config.leaseQuantile)) {
     } else if (arg == "--poison" && hasValue &&
-               parsePoison(argv[++i], config)) {
+               onebit::fi::parsePoisonHook(argv[++i], config)) {
     } else {
       usage(argv[0]);
       return 2;
