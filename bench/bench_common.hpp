@@ -65,7 +65,8 @@
 //                       respawned.
 //   ONEBIT_FLEET_LEASE_MS     base shard lease duration (default 30000;
 //                       heartbeats every lease/3, deadlines adapt to the
-//                       0.9 quantile of observed shard cost)
+//                       0.9 quantile of observed shard cost); a zero or
+//                       negative value warns once and keeps the default
 //   ONEBIT_FLEET_KILL_AFTER   crash injection: the first worker's first
 //                       incarnation SIGKILLs itself right after its Nth
 //                       lease claim; it is respawned once and its shards
@@ -225,11 +226,26 @@ inline std::size_t fleetWorkers() {
 }
 
 /// Shared FleetConfig resolution for both fleet paths: the lease duration
-/// and the ONEBIT_FLEET_POISON "NAME[:SHARD]" test hook (fi::parsePoisonHook;
-/// an invalid value warns once and leaves the hook off).
+/// (a zero or negative value would make every lease dead on arrival, so it
+/// warns once and keeps the default) and the ONEBIT_FLEET_POISON
+/// "NAME[:SHARD]" test hook (fi::parsePoisonHook; an invalid value warns
+/// once and leaves the hook off).
 inline void applyFleetEnv(fi::FleetConfig& config) {
-  config.leaseMs = static_cast<std::uint64_t>(
-      util::envSize("ONEBIT_FLEET_LEASE_MS", config.leaseMs));
+  const std::int64_t leaseMs = util::envInt(
+      "ONEBIT_FLEET_LEASE_MS", static_cast<std::int64_t>(config.leaseMs));
+  if (leaseMs > 0) {
+    config.leaseMs = static_cast<std::uint64_t>(leaseMs);
+  } else {
+    static const bool warned = [&config] {
+      std::fprintf(stderr,
+                   "warning: ignoring ONEBIT_FLEET_LEASE_MS=%s (want a "
+                   "positive count); the lease stays %llu ms\n",
+                   util::envStr("ONEBIT_FLEET_LEASE_MS", "").c_str(),
+                   static_cast<unsigned long long>(config.leaseMs));
+      return true;
+    }();
+    (void)warned;
+  }
   const std::string poison = util::envStr("ONEBIT_FLEET_POISON", "");
   if (!poison.empty() && !fi::parsePoisonHook(poison, config)) {
     static const bool warned = [&poison] {

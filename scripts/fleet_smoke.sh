@@ -13,6 +13,10 @@
 #   2b. the same CSV and shard-record identity for 2-worker fleets beyond
 #      the default knobs: with ONEBIT_PRUNE=1 (whose store must also carry
 #      the workers' outcome records) and with ONEBIT_DISPATCH=switch,
+#   2c. ONEBIT_FLEET_LEASE_MS=0 is refused with a warning: a 2-worker crc32
+#      fleet then writes as many lease and shard records as at the default
+#      lease (a zero lease would be dead on arrival, and every shard would
+#      run on both workers),
 #   3. `report` reads the fleet store and reports every campaign complete,
 #   4. `report --figure fig1` regenerates the solo CSV byte-identically
 #      from the fleet store's records, and `report --watch --once` renders
@@ -90,6 +94,26 @@ for knob in ONEBIT_PRUNE=1 ONEBIT_DISPATCH=switch; do
   fi
   rm -f "$tmp/knob.jsonl" "$tmp/knob.jsonl.lock"
 done
+
+echo "== ONEBIT_FLEET_LEASE_MS=0 is refused: as many lease and shard records"
+echo "   as at the default lease"
+lease_counts() {  # "LEASES SHARDS" of a 2-worker crc32 fleet under env "$@"
+  rm -f "$tmp/lease.jsonl" "$tmp/lease.jsonl.lock"
+  env "$@" ONEBIT_PROGRAMS=crc32 ONEBIT_EXPERIMENTS=32 \
+    ONEBIT_STORE="$tmp/lease.jsonl" ONEBIT_FLEET_WORKERS=2 \
+    "$build/bench_fig1_single_bit" > /dev/null 2> "$tmp/lease.log"
+  echo "$(grep -c '"kind":"lease"' "$tmp/lease.jsonl")" \
+    "$(grep -c '"kind":"shard"' "$tmp/lease.jsonl")"
+}
+default_counts=$(lease_counts)
+zero_counts=$(lease_counts ONEBIT_FLEET_LEASE_MS=0)
+grep -q 'ignoring ONEBIT_FLEET_LEASE_MS=0' "$tmp/lease.log"
+echo "lease and shard records: default lease $default_counts," \
+  "ONEBIT_FLEET_LEASE_MS=0 $zero_counts"
+if [ "$zero_counts" != "$default_counts" ]; then
+  echo "error: ONEBIT_FLEET_LEASE_MS=0 changed the fleet's record counts" >&2
+  exit 1
+fi
 
 echo "== report summary on the fleet store: every campaign complete"
 "$build/report" "$tmp/fleet.jsonl" | tee "$tmp/summary.txt"

@@ -410,7 +410,10 @@ FleetWorker::Step FleetWorker::step() {
   const CampaignStore::CellRecord& cell = claim->cell;
   const std::size_t first = exec.geometry().first(claim->shard);
   const std::size_t count = exec.geometry().count(claim->shard);
-  const std::uint64_t heartbeatMs = config_.leaseMs / 3;
+  // Floored at 1 ms: a 1-2 ms lease would otherwise renew after every
+  // experiment.
+  const std::uint64_t heartbeatMs =
+      std::max<std::uint64_t>(config_.leaseMs / 3, 1);
   const std::uint64_t startedMs = now();
   std::uint64_t lastBeat = startedMs;
   const ShardTally tally = exec.run(claim->shard, [&] {

@@ -59,14 +59,15 @@ using WorkloadResolver = std::function<std::shared_ptr<const Workload>(
 struct FleetConfig {
   /// Base lease duration: a claim or heartbeat extends the lease this far
   /// into the future. A shard whose experiments outlast it is fine as long
-  /// as heartbeats keep landing, every leaseMs / 3 (three missed beats lose
-  /// the lease). Once completion leases with cost_ms exist for a cell, a
-  /// new claim's duration adapts to them: adaptiveLeaseMs(costs, 0.9,
-  /// leaseMs) — slow cells stop being falsely stolen, fast cells recover
-  /// quickly. Out of space (ENOSPC/EDQUOT), a worker keeps its lease warm
-  /// and retries recording a computed shard for 2 × leaseMs before giving
-  /// it up (it re-runs later), instead of exiting — the disk may drain
-  /// without any code change. All of it is scheduling-only; never results.
+  /// as heartbeats keep landing, every leaseMs / 3 but at least 1 ms
+  /// (three missed beats lose the lease). Once completion leases with
+  /// cost_ms exist for a cell, a new claim's duration adapts to them:
+  /// adaptiveLeaseMs(costs, 0.9, leaseMs) — slow cells stop being falsely
+  /// stolen, fast cells recover quickly. Out of space (ENOSPC/EDQUOT), a
+  /// worker keeps its lease warm and retries recording a computed shard for
+  /// 2 × leaseMs before giving it up (it re-runs later), instead of exiting
+  /// — the disk may drain without any code change. All of it is
+  /// scheduling-only; never results.
   std::uint64_t leaseMs = 30'000;
   /// Base idle poll period for FleetWorker::run() when every pending shard
   /// is actively leased by someone else. Workers sleep with decorrelated

@@ -1,7 +1,5 @@
 #include "ir/type.hpp"
 
-#include <cstring>
-
 namespace onebit::ir {
 
 std::string_view typeName(Type t) noexcept {
@@ -11,18 +9,6 @@ std::string_view typeName(Type t) noexcept {
     case Type::F64: return "f64";
   }
   return "?";
-}
-
-double asF64(std::uint64_t raw) noexcept {
-  double d;
-  std::memcpy(&d, &raw, sizeof d);
-  return d;
-}
-
-std::uint64_t fromF64(double v) noexcept {
-  std::uint64_t raw;
-  std::memcpy(&raw, &v, sizeof raw);
-  return raw;
 }
 
 }  // namespace onebit::ir

@@ -6,6 +6,7 @@
 // register width seen by the bit-flip fault model).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string_view>
 
@@ -31,7 +32,11 @@ constexpr std::int64_t asI64(std::uint64_t raw) noexcept {
 constexpr std::uint64_t fromI64(std::int64_t v) noexcept {
   return static_cast<std::uint64_t>(v);
 }
-double asF64(std::uint64_t raw) noexcept;
-std::uint64_t fromF64(double v) noexcept;
+constexpr double asF64(std::uint64_t raw) noexcept {
+  return std::bit_cast<double>(raw);
+}
+constexpr std::uint64_t fromF64(double v) noexcept {
+  return std::bit_cast<std::uint64_t>(v);
+}
 
 }  // namespace onebit::ir

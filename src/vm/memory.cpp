@@ -5,6 +5,7 @@
 #include <cstring>
 #include <new>
 #include <stdexcept>
+#include <utility>
 
 #include "vm/state_hash.hpp"
 
@@ -14,19 +15,89 @@ using ir::kGlobalBase;
 using ir::kHeapBase;
 using ir::kStackBase;
 
-void Memory::CallocDeleter::operator()(std::uint8_t* p) const noexcept {
-  std::free(p);
+namespace {
+
+/// Set when this thread's StackCache is destroyed at thread exit. Trivially
+/// destructible, so it stays readable afterwards: a Memory that outlives
+/// the cache (one with static storage duration, say) then bypasses it.
+thread_local bool tlsStacksClosed = false;
+
+/// Zeroed stack buffers parked by destroyed Memorys for the next Memory of
+/// the same size on this thread: at most one per size and kSlots in all, so
+/// the one-Machine-per-thread campaign path always hits and the cache stays
+/// bounded. Parked buffers are freed at thread exit.
+struct StackCache {
+  static constexpr std::size_t kSlots = 4;
+  struct Slot {
+    std::uint8_t* data = nullptr;
+    std::size_t bytes = 0;
+  };
+  Slot slots[kSlots];
+
+  StackCache() = default;
+  StackCache(const StackCache&) = delete;
+  StackCache& operator=(const StackCache&) = delete;
+  ~StackCache() {
+    for (const Slot& slot : slots) std::free(slot.data);
+    tlsStacksClosed = true;
+  }
+};
+
+thread_local StackCache tlsStacks;
+
+/// A zeroed buffer of `bytes` (at least 1) from this thread's cache, or a
+/// fresh calloc on a miss.
+std::uint8_t* takeStack(std::size_t bytes) {
+  if (!tlsStacksClosed) {
+    for (StackCache::Slot& slot : tlsStacks.slots) {
+      if (slot.data != nullptr && slot.bytes == bytes) {
+        return std::exchange(slot.data, nullptr);
+      }
+    }
+  }
+  auto* p =
+      static_cast<std::uint8_t*>(std::calloc(bytes != 0 ? bytes : 1, 1));
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
 }
+
+/// Park an all-zero buffer of `bytes` for reuse, or free it when this
+/// thread already holds one of that size, every slot is taken, or the
+/// cache is gone.
+void giveStack(std::uint8_t* p, std::size_t bytes) noexcept {
+  StackCache::Slot* free = nullptr;
+  if (!tlsStacksClosed) {
+    for (StackCache::Slot& slot : tlsStacks.slots) {
+      if (slot.data != nullptr && slot.bytes == bytes) {
+        free = nullptr;
+        break;
+      }
+      if (slot.data == nullptr && free == nullptr) free = &slot;
+    }
+  }
+  if (free != nullptr) {
+    *free = {p, bytes};
+  } else {
+    std::free(p);
+  }
+}
+
+}  // namespace
 
 Memory::Memory(const std::vector<std::uint8_t>& globalImage,
                std::size_t stackBytes, std::size_t maxHeapBytes)
     : globals_(globalImage),
-      stack_(static_cast<std::uint8_t*>(
-          std::calloc(stackBytes != 0 ? stackBytes : 1, 1))),
       stackSize_(stackBytes),
       maxHeapBytes_(maxHeapBytes) {
-  if (stack_ == nullptr) throw std::bad_alloc();
   heap_.reserve(4096);
+  stack_ = takeStack(stackBytes);  // last: nothing after it may throw
+}
+
+Memory::~Memory() {
+  // Every byte at or beyond storeHighWater_ is still zero (the class
+  // invariant), so clearing the dirtied prefix returns an all-zero buffer.
+  std::fill(stack_, stack_ + storeHighWater_, 0);
+  giveStack(stack_, stackSize_);
 }
 
 std::uint8_t* Memory::resolve(std::uint64_t addr, unsigned width,
@@ -43,7 +114,7 @@ std::uint8_t* Memory::resolve(std::uint64_t addr, unsigned width,
     return nullptr;
   };
   // Order by expected access frequency: stack, globals, heap.
-  if (auto* p = inSegment(kStackBase, stack_.get(), stackSize_)) return p;
+  if (auto* p = inSegment(kStackBase, stack_, stackSize_)) return p;
   if (auto* p = inSegment(kGlobalBase, globals_.data(), globals_.size())) {
     return p;
   }
@@ -113,7 +184,7 @@ void Memory::captureSegments(std::size_t stackUsed,
                              std::vector<std::uint8_t>& heap) const {
   globals = globals_;
   stackUsed = std::min(stackUsed, stackSize_);
-  stack.assign(stack_.get(), stack_.get() + stackUsed);
+  stack.assign(stack_, stack_ + stackUsed);
   heap = heap_;
 }
 
@@ -126,15 +197,15 @@ void Memory::restoreSegments(const std::vector<std::uint8_t>& globals,
         "vm::Memory: snapshot segments do not fit this memory geometry");
   }
   globals_ = globals;
-  std::copy(stackPrefix.begin(), stackPrefix.end(), stack_.get());
+  std::copy(stackPrefix.begin(), stackPrefix.end(), stack_);
   // Every byte at or beyond storeHighWater_ is still zero (the class
   // invariant), so only the slice the old content could have dirtied needs
   // re-zeroing — not the whole stack. Campaigns resume thousands of
   // snapshots per second; a full-stack fill here would dominate their
   // backend-independent cost.
   if (storeHighWater_ > stackPrefix.size()) {
-    std::fill(stack_.get() + stackPrefix.size(),
-              stack_.get() + storeHighWater_, 0);
+    std::fill(stack_ + stackPrefix.size(),
+              stack_ + storeHighWater_, 0);
   }
   storeHighWater_ = stackPrefix.size();
   heap_ = heap;
@@ -151,7 +222,7 @@ std::uint64_t Memory::wordValueAt(std::uint64_t wordAddr) const noexcept {
   std::size_t segSize = 0;
   std::uint64_t base = 0;
   if (wordAddr >= kStackBase && wordAddr - kStackBase < stackSize_) {
-    seg = stack_.get();
+    seg = stack_;
     segSize = stackSize_;
     base = kStackBase;
   } else if (wordAddr >= kGlobalBase &&
@@ -194,7 +265,7 @@ std::uint64_t Memory::computeContentHash() const noexcept {
   fold(globals_.data(), globals_.size(), kGlobalBase, globals_.size());
   // Bytes at or beyond the store high-water mark are untouched zeros, so
   // words there contribute nothing — skip them.
-  fold(stack_.get(), stackSize_, kStackBase, storeHighWater_);
+  fold(stack_, stackSize_, kStackBase, storeHighWater_);
   fold(heap_.data(), heap_.size(), kHeapBase, heap_.size());
   return h;
 }

@@ -411,6 +411,28 @@ TEST_F(FleetFixture, ExpiredLeaseIsReclaimedAtTheNextEpoch) {
   EXPECT_EQ(camp.histogram(), ref.activationHist);
 }
 
+TEST_F(FleetFixture, MillisecondLeaseDoesNotHeartbeatEveryExperiment) {
+  // A 1 ms lease has leaseMs / 3 == 0; the heartbeat period is floored at
+  // 1 ms, so on a clock that stands still the shard's ten experiments renew
+  // nothing: the store holds the claim lease and the completion lease only.
+  const auto cell = FleetBroker::makeCell(
+      "beta", *beta_, FaultModel::singleBit(FaultDomain::RegisterWrite), 10,
+      0xbbb2, 10);
+  ASSERT_TRUE(cell.has_value());  // a single shard
+  {
+    FleetBroker broker(path_);
+    ASSERT_TRUE(broker.submit(*cell));
+  }
+  const std::uint64_t fakeNow = 1000;
+  FleetConfig config = fleetConfig();
+  config.leaseMs = 1;
+  config.clock = [fakeNow] { return fakeNow; };
+  FleetWorker worker(path_, "", config);
+  EXPECT_EQ(worker.step(), FleetWorker::Step::Ran);
+  EXPECT_EQ(worker.step(), FleetWorker::Step::Done);
+  EXPECT_EQ(countLines(path_, "\"kind\":\"lease\""), 2u);
+}
+
 TEST_F(FleetFixture, DeadPidLeaseIsStolenBeforeItsDeadline) {
   // Same-host fast path: the lease's worker id carries a pid that no longer
   // exists, so the shard is re-leasable immediately — long before the (far

@@ -1,4 +1,6 @@
-// Unit tests for src/vm: memory, traps, interpreter semantics, hooks.
+// Unit tests for src/vm: memory (including the per-thread stack recycler),
+// traps, interpreter semantics, hooks.
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -7,13 +9,18 @@
 
 #include "ir/builder.hpp"
 #include "ir/verifier.hpp"
+#include "lang/compile.hpp"
+#include "util/thread_pool.hpp"
 #include "vm/interpreter.hpp"
+#include "vm/memory.hpp"
+#include "vm/snapshot.hpp"
 
 namespace onebit::vm {
 namespace {
 
 using ir::IRBuilder;
 using ir::kGlobalBase;
+using ir::kStackBase;
 using ir::Module;
 using ir::Opcode;
 using ir::Operand;
@@ -311,6 +318,120 @@ TEST(Memory, NegativeAllocTraps) {
   const auto p = bld.emitAlloc(Operand::makeImm(ir::fromI64(-8)));
   bld.emitRet(Operand::makeReg(p));
   EXPECT_EQ(execute(mod).trap, TrapKind::SegFault);
+}
+
+// --- stack recycling ----------------------------------------------------------
+//
+// A destroyed Memory hands its stack buffer to the next Memory of the same
+// size on its thread. These tests pin the contract that makes that
+// invisible: every stack byte a new Memory has not written reads zero.
+
+constexpr std::size_t kRecycledStack = 64 << 10;
+
+/// Load the 8-byte stack word at `off`, requiring no trap.
+std::uint64_t stackWord(Memory& mem, std::size_t off) {
+  TrapKind trap = TrapKind::None;
+  const std::uint64_t v = mem.load(kStackBase + off, 8, trap);
+  EXPECT_EQ(trap, TrapKind::None) << "offset " << off;
+  return v;
+}
+
+TEST(StackRecycler, RecycledStackReadsZero) {
+  const std::size_t last = kRecycledStack - 8;
+  const std::size_t mid = kRecycledStack / 2;
+  {
+    Memory dirty({}, kRecycledStack, 0);
+    TrapKind trap = TrapKind::None;
+    dirty.store(kStackBase, 8, ~0ULL, trap);
+    dirty.store(kStackBase + last, 8, 0x1234, trap);
+    dirty.poke(kStackBase + mid, 8, 0xff00ff, trap);
+    ASSERT_EQ(trap, TrapKind::None);
+    ASSERT_EQ(dirty.stackStoreHighWater(), kRecycledStack);
+  }
+  Memory fresh({}, kRecycledStack, 0);
+  EXPECT_EQ(fresh.stackStoreHighWater(), 0U);
+  EXPECT_EQ(stackWord(fresh, 0), 0U);
+  EXPECT_EQ(stackWord(fresh, mid), 0U);
+  EXPECT_EQ(stackWord(fresh, last), 0U);
+}
+
+TEST(StackRecycler, OtherSizeNeverGetsAWrongSizeBuffer) {
+  { Memory big({}, kRecycledStack, 0); }
+  constexpr std::size_t kSmall = 4096;
+  Memory small({}, kSmall, 0);
+  EXPECT_EQ(stackWord(small, kSmall - 8), 0U);
+  TrapKind trap = TrapKind::None;
+  (void)small.load(kStackBase + kSmall, 8, trap);
+  EXPECT_EQ(trap, TrapKind::SegFault);
+  // The larger size still works after the smaller one is recycled too.
+  { Memory again({}, kSmall, 0); }
+  Memory big({}, kRecycledStack, 0);
+  EXPECT_EQ(stackWord(big, kRecycledStack - 8), 0U);
+}
+
+TEST(StackRecycler, ResumeOnRecycledStackIsUnchanged) {
+  const Module mod = lang::compileMiniC(R"MC(
+int sum(int n) {
+  int a[32];
+  for (int i = 0; i < 32; i++) { a[i] = i * n + 1; }
+  int s = 0;
+  for (int i = 0; i < 32; i++) { s = s + a[i]; }
+  return s;
+}
+int main() {
+  int t = 0;
+  for (int k = 1; k < 12; k++) {
+    t = t + sum(k);
+    print_i(t);
+    print_c(10);
+  }
+  return t % 251;
+}
+)MC");
+  std::vector<Snapshot> snaps;
+  (void)executeWithSnapshots(mod, {}, {/*interval=*/16, 0, 0}, snaps);
+  ASSERT_GE(snaps.size(), 3U);
+  const Snapshot& snap = snaps[snaps.size() / 2];
+  const ExecResult first = resume(mod, snap, {}, nullptr);
+  {
+    // Dirty a default-size stack well past anything the program touches,
+    // so the next resume runs on a recycled buffer that was written.
+    const ExecLimits limits;
+    Memory scribbler({}, limits.stackBytes, 0);
+    TrapKind trap = TrapKind::None;
+    for (std::size_t off = 0; off < limits.stackBytes; off += 4096) {
+      scribbler.store(kStackBase + off, 8, 0xdeadbeef, trap);
+    }
+    ASSERT_EQ(trap, TrapKind::None);
+  }
+  const ExecResult second = resume(mod, snap, {}, nullptr);
+  EXPECT_EQ(second.status, first.status);
+  EXPECT_EQ(second.trap, first.trap);
+  EXPECT_EQ(second.instructions, first.instructions);
+  EXPECT_EQ(second.readCandidates, first.readCandidates);
+  EXPECT_EQ(second.writeCandidates, first.writeCandidates);
+  EXPECT_EQ(second.storeCandidates, first.storeCandidates);
+  EXPECT_EQ(second.returnValue, first.returnValue);
+  EXPECT_EQ(second.outputTruncated, first.outputTruncated);
+  EXPECT_EQ(second.output, first.output);
+  EXPECT_EQ(second.output, execute(mod).output);
+}
+
+TEST(StackRecycler, PoolThreadsRecycleConcurrently) {
+  util::ThreadPool pool(4);
+  std::atomic<int> nonZero{0};
+  pool.parallelFor(256, [&](std::size_t i) {
+    // Two sizes per thread, so slots of both are parked and reused.
+    const std::size_t bytes = (i % 2 == 0) ? kRecycledStack : 8192;
+    Memory mem({}, bytes, 0);
+    TrapKind trap = TrapKind::None;
+    for (std::size_t off = 0; off < bytes; off += 1024) {
+      if (mem.load(kStackBase + off, 8, trap) != 0) ++nonZero;
+      mem.store(kStackBase + off, 8, i + 1, trap);
+    }
+    if (trap != TrapKind::None) ++nonZero;
+  });
+  EXPECT_EQ(nonZero.load(), 0);
 }
 
 // --- control flow / calls --------------------------------------------------------
